@@ -295,7 +295,6 @@ class _Batch:
         self.pder = np.zeros((S, self.Kp, D))
         self.pcrit = np.full((S, self.Kp, C), np.nan)
         self.pdcrit = np.full((S, self.Kp, C2), np.nan)
-        self.pmask = np.zeros((S, self.Kp), dtype=bool)
         self.pvar = np.zeros((S, self.Kp), dtype=bool)
         for i, v in enumerate(poly):
             for k, p in enumerate(v):
@@ -309,7 +308,6 @@ class _Batch:
                     self.pvar[i, k] = any(c != 0.0 for c in der[1:])
                 self.pcrit[i, k, : len(prof.crit)] = prof.crit
                 self.pdcrit[i, k, : len(prof.dcrit)] = prof.dcrit
-                self.pmask[i, k] = True
 
         self.Kf = max((len(v) for v in feats), default=0)
         self.feat = np.full((S, self.Kf), np.inf)
@@ -339,27 +337,37 @@ def _holder_cap(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_sum(s, low, up):
+    """Row sums of the pieces' signed increment intervals.
+
+    ``low`` and ``up`` bound each piece's |increment| over a box and
+    ``s`` is the piece's direction on the pair span (only its sign is
+    read).  An increasing piece moves by [low, up], a decreasing one by
+    [-up, -low], and one not known to be monotone (s = 0) by [-up, up].
+    """
+    return np.where(s > 0, low, -up).sum(axis=1), np.where(s < 0, -low, up).sum(axis=1)
+
+
 def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     """Upper/lower bounds on |u(x+h) - u(x)| over each box, plus two
     flags telling the splitter what x-structure the box's pair span
     holds: point features (jump locations, support ends, interior
     extrema) versus smooth slope variation.
 
-    Upper bound: per piece, the smaller of its oscillation over the span
-    [x0, x1 + h1] and a window cap (Lipschitz, or triadic for staircase
-    pieces) using that pair separations never exceed h1.  Jumps count
-    whenever some pair can straddle them.
-
-    Lower bound: when every moving piece is monotone in one common
-    direction on the span, guaranteed per-piece increments add: jumps
-    that every pair straddles, piece increments over the core interval
+    Each piece bounds its own |increment| over the box's pairs from
+    above by the smaller of its oscillation over the span [x0, x1 + h1]
+    and a window cap (slope, or triadic for staircase pieces) using that
+    pair separations never exceed h1; jumps count whenever some pair can
+    straddle them.  From below it is bounded by the jumps that every
+    pair straddles, the piece increment over the core interval
     [x1, x0 + h0] that every pair's window contains, and the minimum
-    pair increment at the shortest separation h0, evaluated at the two
-    ends of the x range (the minimum lands there when the profile's
-    derivative is unimodal or monotone over the window hull).
-    Independently, an always-straddled jump of size J gives
-    |increment| >= J minus the other pieces' upper contributions.  The
-    returned value is the best of these, floored at zero.
+    pair increment at the shortest separation h0.  The lower bound only
+    holds for a piece monotone on the span, whose direction then turns
+    the two magnitudes into a signed interval for its increment (see
+    :func:`_signed_sum`).  The increment of u lies in the sum [L, U] of
+    these intervals, so |u(x+h) - u(x)| lies in
+    [max(0, L, -U), max(U, -L)]: same-direction pieces add, and opposite
+    ones cancel, e.g. two opposite jumps that every pair straddles.
     """
     W = x0.size
     span_hi = x1 + h1
@@ -368,14 +376,10 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     core_ok = core_hi > core_lo
     win_hi = x1 + h0
 
-    up = np.zeros(W)
-    low_mono = np.zeros(W)
-    pos = np.zeros(W, dtype=bool)
-    neg = np.zeros(W, dtype=bool)
-    nonmono = np.zeros(W, dtype=bool)
+    L = np.zeros(W)
+    U = np.zeros(W)
     xfeat = np.zeros(W, dtype=bool)
     xsmooth = np.zeros(W, dtype=bool)
-    best_echo = np.zeros(W)
 
     if B.Kf:
         f = B.feat[sid]
@@ -384,15 +388,13 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     if B.Kj:
         jl = B.jloc[sid]
         ja = B.jabs[sid]
-        js = B.jsgn[sid]
         poss = (x0[:, None] < jl) & (jl <= span_hi[:, None])
-        contrib = np.where(poss, ja, 0.0)
-        up += contrib.sum(axis=1)
         always = (core_lo[:, None] < jl) & (jl <= core_hi[:, None])
-        low_mono += np.where(always, ja, 0.0).sum(axis=1)
-        pos |= (poss & (js > 0)).any(axis=1)
-        neg |= (poss & (js < 0)).any(axis=1)
-        best_echo = np.max(np.where(always, 2.0 * ja, 0.0), axis=1)
+        lo_i, hi_i = _signed_sum(
+            B.jsgn[sid], np.where(always, ja, 0.0), np.where(poss, ja, 0.0)
+        )
+        L += lo_i
+        U += hi_i
 
     if B.Ks:
         a = B.sa[sid]
@@ -415,10 +417,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             np.maximum(_shape_deriv(code, t0), _shape_deriv(code, t1)),
             _shape_deriv(code, tm),
         )
-        up += np.minimum(osc, np.abs(rise) * smax / w * win).sum(axis=1)
-        moving = osc > 0.0
-        pos |= (moving & (rise > 0)).any(axis=1)
-        neg |= (moving & (rise < 0)).any(axis=1)
+        up_i = np.minimum(osc, np.abs(rise) * smax / w * win)
         tc0 = np.clip((core_lo[:, None] - a) / w, 0.0, 1.0)
         tc1 = np.clip((core_hi[:, None] - a) / w, 0.0, 1.0)
         inc = np.abs(rise) * (_shape_unit(code, tc1) - _shape_unit(code, tc0))
@@ -442,16 +441,16 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
         smin = np.minimum(_shape_deriv(code, t0), _shape_deriv(code, tw1))
         dmul = np.where(win_in, np.abs(rise) * (h0[:, None] / w) * smin, 0.0)
-        low_mono += np.maximum(inc, np.maximum(dwin, dmul)).sum(axis=1)
+        lo_i, hi_i = _signed_sum(rise, np.maximum(inc, np.maximum(dwin, dmul)), up_i)
+        L += lo_i
+        U += hi_i
 
     if B.Kc:
         a = B.ca[sid]
         b = B.cb[sid]
         w = b - a
         r = B.crabs[sid]
-        sg = B.csgn[sid]
-        act = r > 0.0
-        xfeat |= (act & (a < span_hi[:, None]) & (b > x0[:, None])).any(axis=1)
+        xfeat |= ((r > 0.0) & (a < span_hi[:, None]) & (b > x0[:, None])).any(axis=1)
         ts0 = np.clip((x0[:, None] - a) / w - _TNUDGE, 0.0, 1.0)
         ts1 = np.clip((span_hi[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
         tc0 = np.clip((core_lo[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
@@ -460,14 +459,12 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         osc = r * np.maximum(cv[1] - cv[0], 0.0)
         ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
         tau = np.minimum(h1[:, None], np.maximum(ov, 0.0)) / w
-        up_c = np.minimum(osc, _holder_cap(r, tau))
-        up += np.where(act, up_c, 0.0).sum(axis=1)
-        moving = act & (osc > 0.0)
-        pos |= (moving & (sg > 0)).any(axis=1)
-        neg |= (moving & (sg < 0)).any(axis=1)
-        inc = r * np.maximum(cv[3] - cv[2], 0.0)
-        inc = np.where(act & core_ok[:, None], inc, 0.0)
-        low_mono += inc.sum(axis=1)
+        inc = np.where(core_ok[:, None], r * np.maximum(cv[3] - cv[2], 0.0), 0.0)
+        lo_i, hi_i = _signed_sum(
+            B.csgn[sid], inc, np.minimum(osc, _holder_cap(r, tau))
+        )
+        L += lo_i
+        U += hi_i
 
     if B.Kp:
         a = B.pa[sid]
@@ -477,9 +474,8 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         der = B.pder[sid]
         crit = B.pcrit[sid]
         dcrit = B.pdcrit[sid]
-        act = B.pmask[sid]
         xsmooth |= (
-            B.pvar[sid] & act & (a < span_hi[:, None]) & (b > x0[:, None])
+            B.pvar[sid] & (a < span_hi[:, None]) & (b > x0[:, None])
         ).any(axis=1)
         t0 = np.clip((x0[:, None] - a) / w, 0.0, 1.0)
         t1 = np.clip((span_hi[:, None] - a) / w, 0.0, 1.0)
@@ -500,14 +496,10 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             axis=-1,
         )
         smax = np.abs(_polyval_grid(der, scand)).max(axis=-1)
-        up += np.where(act, np.minimum(osc, smax / w * win), 0.0).sum(axis=1)
-        crit_in_span = cmask.any(axis=-1)
-        moving = act & (osc > 0.0)
-        nonmono |= (moving & crit_in_span).any(axis=1)
-        mono_dir = vals[..., 1] - vals[..., 0]
-        mono_move = moving & ~crit_in_span
-        pos |= (mono_move & (mono_dir > 0)).any(axis=1)
-        neg |= (mono_move & (mono_dir < 0)).any(axis=1)
+        up_i = np.minimum(osc, smax / w * win)
+        # With an extremum inside the span the piece is not monotone
+        # there, so its lower bounds below are discarded.
+        direction = np.where(cmask.any(axis=-1), 0.0, vals[..., 1] - vals[..., 0])
         tc = np.stack(
             [
                 np.clip((core_lo[:, None] - a) / w, 0.0, 1.0),
@@ -516,8 +508,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             axis=-1,
         )
         vc = _polyval_grid(coef, tc)
-        inc = np.abs(vc[..., 1] - vc[..., 0])
-        inc = np.where(core_ok[:, None] & ~crit_in_span, inc, 0.0)
+        inc = np.where(core_ok[:, None], np.abs(vc[..., 1] - vc[..., 0]), 0.0)
         tw1 = np.clip((win_hi[:, None] - a) / w, 0.0, 1.0)
         dmask = np.isfinite(dcrit) & (dcrit > t0[..., None]) & (dcrit < tw1[..., None])
         dcand = np.concatenate(
@@ -526,12 +517,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         )
         dvals = np.abs(_polyval_grid(der, dcand))
         dmin = dvals.min(axis=-1)
-        win_in = (
-            (x0[:, None] >= a)
-            & (win_hi[:, None] <= b)
-            & (h0 > 0.0)[:, None]
-            & ~crit_in_span
-        )
+        win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
         dwin = np.where(win_in, h0[:, None] * dmin / w, 0.0)
         # With no inflection point in the window hull the derivative is
         # monotone there, so x -> P(x + h0) - P(x) is too and its minimum
@@ -551,16 +537,14 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             np.abs(gv[..., 1] - gv[..., 0]), np.abs(gv[..., 3] - gv[..., 2])
         )
         gwin = np.where(win_in & ~dmask.any(axis=-1), ginc, 0.0)
-        low_mono += np.where(act, np.maximum(inc, np.maximum(dwin, gwin)), 0.0).sum(
-            axis=1
+        lo_i, hi_i = _signed_sum(
+            direction, np.maximum(inc, np.maximum(dwin, gwin)), up_i
         )
+        L += lo_i
+        U += hi_i
 
-    mono_ok = ~nonmono & ~(pos & neg)
-    low = np.where(mono_ok, low_mono, 0.0)
-    if B.Kj:
-        low = np.maximum(low, best_echo - up)
-    low = np.maximum(low, 0.0)
-    return up, low, xfeat, xsmooth
+    low = np.maximum(np.maximum(L, -U), 0.0)
+    return np.maximum(U, -L), low, xfeat, xsmooth
 
 
 # ---------------------------------------------------------------------------
