@@ -200,6 +200,11 @@ class _Batch:
     Sections with different piece counts are padded with inert slots
     (zero rise, zero height, far-away features) so a whole wave of boxes
     indexes the tables with plain fancy indexing.
+
+    Locations are stored relative to each section's ``origin``, the start
+    of its derivative support, so the support is [0, supp_w].  Boxes then
+    live near 0, and splitting resolves the same scales wherever the
+    function sits on the line; F is translation invariant.
     """
 
     def __init__(self, funcs: Sequence[BVFunction1D]):
@@ -241,8 +246,8 @@ class _Batch:
             if hull is not None:
                 supp_lo[i], supp_hi[i] = hull
         self.tv = tv
-        self.supp_lo = supp_lo
-        self.supp_hi = supp_hi
+        self.origin = supp_lo
+        self.supp_w = supp_hi - supp_lo
 
         self.Kj = max((len(v) for v in jumps), default=0)
         self.jloc = np.full((S, self.Kj), np.inf)
@@ -313,6 +318,11 @@ class _Batch:
         self.feat = np.full((S, self.Kf), np.inf)
         for i, v in enumerate(feats):
             self.feat[i, : len(v)] = v
+
+        o = self.origin[:, None]
+        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb):
+            t -= o
+        self.feat -= o
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +579,14 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
     # must touch the derivative support.  H is padded a hair to absorb
     # rounding in the power.
     H = (B.tv / lam) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
-    x0 = B.supp_lo - H
-    x1 = B.supp_hi.copy()
+    x0 = -H
+    x1 = B.supp_w.copy()
     h0 = np.zeros(S)
     h1 = H.copy()
     sid = np.arange(S)
     depth = np.zeros(S, dtype=np.int32)
 
-    supp_w = B.supp_hi - B.supp_lo
+    supp_w = B.supp_w
 
     while x0.size:
         W = x0.size
@@ -727,10 +737,20 @@ def F_value(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:
     )[0]
 
 
+def _shifted(x: float, o: float, outward: float) -> float:
+    """x - o, moved one ulp toward ``outward`` when the difference rounded,
+    so a shifted box still covers the given one."""
+    s = x - o
+    return s if math.fsum((x, -o, -s)) == 0.0 else math.nextafter(s, outward)
+
+
 def pair_increment_bounds(u: BVFunction1D, box: PlaneBox) -> tuple[float, float]:
     """Certified (lower, upper) bounds of |u(x+h) - u(x)| over a box."""
     batch = _Batch([u])
     (x0, x1), (h0, h1) = box.x_interval, box.h_interval
+    o = float(batch.origin[0])
+    x0 = _shifted(x0, o, -math.inf)
+    x1 = _shifted(x1, o, math.inf)
     up, low, _, _ = _wave_bounds(
         batch,
         np.zeros(1, dtype=np.intp),

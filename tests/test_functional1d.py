@@ -91,6 +91,16 @@ def test_ramp_exceedance_measure_small_lambda_band():
     assert enc.mid == pytest.approx(1.0 / lam, rel=0.05)
 
 
+def test_far_jump_matches_jump_at_origin():
+    # Translation is an exact symmetry of F, so a jump far out on the line
+    # must refine exactly like one at the origin.
+    q = ExceedanceQuery(gamma=1.0, lam=1e12, tol=1e-3)
+    far = F_value(single_jump(1.0, 1e10), q)
+    near = F_value(single_jump(1.0, 0.0), q)
+    assert (far.lo, far.hi, far.tol_met) == (near.lo, near.hi, near.tol_met)
+    assert far.tol_met and far.lo <= 1.0 <= far.hi
+
+
 def test_batch_order_and_determinism():
     funcs = [single_jump(1.0), single_jump(2.0), BVFunction1D(pieces=())]
     out1 = f_enclosures_batch(funcs, 1.0, 10.0)
