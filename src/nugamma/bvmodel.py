@@ -5,7 +5,7 @@ pieces, each constant outside a bounded interval:
 
 * ``SmoothPiece``, a Lipschitz profile from a closed catalog (polynomial,
   affine ramp, clamped smoothstep, sine ramp) carrying its exact total
-  variation and a Lipschitz bound supplied at construction;
+  variation;
 * ``JumpPiece``, a single jump, evaluated with the right-continuous
   convention;
 * ``CantorPiece``, a scaled copy of the Cantor staircase: monotone,
@@ -112,7 +112,35 @@ def cantor_eval_array(values: np.ndarray) -> np.ndarray:
 # Smooth profiles (normalized coordinate t = (x - a) / (b - a) in [0, 1])
 # ---------------------------------------------------------------------------
 
-_SHAPE_MAX_DERIV = {"affine": 1.0, "smoothstep": 1.5, "sine": math.pi / 2.0}
+#: Ramp shapes by the codes the batched tables of
+#: :mod:`nugamma.functional1d` store.
+_SHAPE_CODE = {"affine": 1, "smoothstep": 2, "sine": 3}
+
+
+def _shape_unit(code: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit ramp s(t) elementwise, for shape codes broadcast like ``t``."""
+    out = t.copy()
+    m = code == 2
+    if m.any():
+        ts = t[m]
+        out[m] = ts * ts * (3.0 - 2.0 * ts)
+    m = code == 3
+    if m.any():
+        out[m] = 0.5 * (1.0 - np.cos(np.pi * t[m]))
+    return out
+
+
+def _shape_deriv(code: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit ramp derivative s'(t) elementwise, as :func:`_shape_unit`."""
+    out = np.ones_like(t)
+    m = code == 2
+    if m.any():
+        ts = t[m]
+        out[m] = 6.0 * ts * (1.0 - ts)
+    m = code == 3
+    if m.any():
+        out[m] = 0.5 * np.pi * np.sin(np.pi * t[m])
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,33 +157,14 @@ class ShapedRamp:
     rise: float
 
     def __post_init__(self):
-        if self.shape not in _SHAPE_MAX_DERIV:
+        if self.shape not in _SHAPE_CODE:
             raise ValueError(f"unknown ramp shape {self.shape!r}")
         if not (math.isfinite(self.rise) and self.rise != 0.0):
             raise ValueError("ramp rise must be finite and nonzero")
 
     def unit(self, t):
-        if self.shape == "affine":
-            return t
-        if self.shape == "smoothstep":
-            return t * t * (3.0 - 2.0 * t)
-        return 0.5 * (1.0 - np.cos(np.pi * t))
-
-    def unit_deriv(self, t):
-        if self.shape == "affine":
-            return np.ones_like(np.asarray(t, dtype=float))
-        if self.shape == "smoothstep":
-            return 6.0 * t * (1.0 - t)
-        return 0.5 * np.pi * np.sin(np.pi * t)
-
-    @property
-    def max_unit_deriv(self) -> float:
-        return _SHAPE_MAX_DERIV[self.shape]
-
-    def min_unit_deriv_on(self, t0: float, t1: float) -> float:
-        if self.shape == "affine":
-            return 1.0
-        return float(min(self.unit_deriv(t0), self.unit_deriv(t1)))
+        t = np.asarray(t, dtype=float)
+        return _shape_unit(np.full(t.shape, _SHAPE_CODE[self.shape]), t)
 
     def value0(self, t):
         """Profile value relative to t = 0."""
@@ -206,10 +215,6 @@ class PolynomialProfile:
     def unit(self, t):
         return npoly.polyval(t, self.coeffs)
 
-    def unit_deriv(self, t):
-        d = npoly.polyder(self.coeffs) if len(self.coeffs) > 1 else (0.0,)
-        return npoly.polyval(t, d)
-
     def value0(self, t):
         return self.unit(t) - self.unit(0.0)
 
@@ -237,14 +242,12 @@ def _check_interval(support) -> Interval:
 class SmoothPiece:
     """Lipschitz catalog piece, constant outside ``support``.
 
-    ``lipschitz_bound`` dominates the slope everywhere and ``exact_tv``
-    is the true total variation of the profile; both are derived
+    ``exact_tv`` is the true total variation of the profile, derived
     analytically by the factory functions below.
     """
 
     support: Interval
     profile: Profile
-    lipschitz_bound: float
     exact_tv: float
 
     def _t(self, x):
@@ -289,23 +292,6 @@ class SmoothPiece:
         if diff == 0.0:
             return 0
         return 1 if diff > 0 else -1
-
-    def min_abs_slope_on(self, lo: float, hi: float) -> float:
-        """Certified min |slope| over [lo, hi]; requires the interval inside
-        the support and the profile monotone there, else returns 0."""
-        a, b = self.support
-        if lo < a or hi > b or hi <= lo:
-            return 0.0
-        w = b - a
-        t0, t1 = (lo - a) / w, (hi - a) / w
-        p = self.profile
-        if isinstance(p, ShapedRamp):
-            return abs(p.rise) * p.min_unit_deriv_on(t0, t1) / w
-        if any(t0 < c < t1 for c in p.crit):
-            return 0.0
-        cand = [abs(float(p.unit_deriv(t0))), abs(float(p.unit_deriv(t1)))]
-        cand.extend(abs(float(p.unit_deriv(c))) for c in p.dcrit if t0 < c < t1)
-        return min(cand) / w
 
 
 @dataclass(frozen=True)
@@ -387,34 +373,32 @@ def affine_ramp(a: float, b: float, slope: float) -> SmoothPiece:
     if not (math.isfinite(slope) and slope != 0.0):
         raise ValueError("slope must be finite and nonzero")
     rise = slope * (b - a)
-    return SmoothPiece((a, b), ShapedRamp("affine", rise), abs(slope), abs(rise))
+    return SmoothPiece((a, b), ShapedRamp("affine", rise), abs(rise))
 
 
 def smoothstep_piece(a: float, b: float, rise: float) -> SmoothPiece:
     """Cubic smoothstep rising by ``rise`` across [a, b]."""
     a, b = _check_interval((a, b))
     prof = ShapedRamp("smoothstep", float(rise))
-    return SmoothPiece((a, b), prof, 1.5 * abs(rise) / (b - a), abs(rise))
+    return SmoothPiece((a, b), prof, abs(rise))
 
 
 def sine_ramp(a: float, b: float, rise: float) -> SmoothPiece:
     """Half-cosine ramp rising by ``rise`` across [a, b]."""
     a, b = _check_interval((a, b))
     prof = ShapedRamp("sine", float(rise))
-    return SmoothPiece((a, b), prof, 0.5 * math.pi * abs(rise) / (b - a), abs(rise))
+    return SmoothPiece((a, b), prof, abs(rise))
 
 
 def polynomial_piece(a: float, b: float, coeffs: Sequence[float]) -> SmoothPiece:
     """Polynomial profile on [a, b]; ``coeffs[k]`` multiplies the k-th power
-    of the normalized coordinate.  Total variation and the Lipschitz bound
-    come from the derivative's critical points."""
+    of the normalized coordinate.  Total variation comes from the
+    derivative's critical points."""
     a, b = _check_interval((a, b))
     prof = PolynomialProfile.from_coeffs(coeffs)
     vals = [float(prof.unit(t)) for t in prof.breakpoints]
     tv = float(sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:])))
-    dcand = [0.0, 1.0, *prof.dcrit]
-    lip = max(abs(float(prof.unit_deriv(t))) for t in dcand) / (b - a)
-    return SmoothPiece((a, b), prof, lip, tv)
+    return SmoothPiece((a, b), prof, tv)
 
 
 def cantor_piece(a: float, b: float, rise: float, orientation: int | None = None) -> CantorPiece:
@@ -529,19 +513,6 @@ class BVFunction1D:
         exact = None not in signs and len(signs - {0}) <= 1
         return exact, osc
 
-    def monotone_sign_on(self, lo: float, hi: float):
-        """Common monotone direction of all pieces on [lo, hi]; None if mixed."""
-        sign = 0
-        for p in self.pieces:
-            s = p.monotone_sign_on(lo, hi)
-            if s is None:
-                return None
-            if s != 0:
-                if sign != 0 and s != sign:
-                    return None
-                sign = s
-        return sign
-
     # -- exact transforms ---------------------------------------------------
 
     def scaled(self, c: float) -> "BVFunction1D":
@@ -565,9 +536,7 @@ class BVFunction1D:
                     nprof = PolynomialProfile(
                         tuple(c * ck for ck in prof.coeffs), prof.crit, prof.dcrit
                     )
-                out.append(
-                    SmoothPiece(p.support, nprof, abs(c) * p.lipschitz_bound, abs(c) * p.exact_tv)
-                )
+                out.append(SmoothPiece(p.support, nprof, abs(c) * p.exact_tv))
         return BVFunction1D(tuple(out), c * self.base_value)
 
     def dilated(self, s: float) -> "BVFunction1D":
@@ -583,7 +552,7 @@ class BVFunction1D:
                 out.append(CantorPiece(sup, p.rise, p.orientation))
             else:
                 sup = (s * p.support[0], s * p.support[1])
-                out.append(SmoothPiece(sup, p.profile, p.lipschitz_bound / s, p.exact_tv))
+                out.append(SmoothPiece(sup, p.profile, p.exact_tv))
         return BVFunction1D(tuple(out), self.base_value)
 
     def translated(self, dx: float) -> "BVFunction1D":
@@ -599,7 +568,7 @@ class BVFunction1D:
                 out.append(CantorPiece(sup, p.rise, p.orientation))
             else:
                 sup = (p.support[0] + dx, p.support[1] + dx)
-                out.append(SmoothPiece(sup, p.profile, p.lipschitz_bound, p.exact_tv))
+                out.append(SmoothPiece(sup, p.profile, p.exact_tv))
         return BVFunction1D(tuple(out), self.base_value)
 
 

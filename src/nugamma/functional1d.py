@@ -43,6 +43,9 @@ from .bvmodel import (
     PolynomialProfile,
     ShapedRamp,
     SmoothPiece,
+    _SHAPE_CODE,
+    _shape_deriv,
+    _shape_unit,
     cantor_eval_array,
 )
 from .numeasure import Enclosure, PlaneBox, as_gamma
@@ -154,32 +157,6 @@ def closed_form_jump_F(height: float, gamma) -> float:
 # ---------------------------------------------------------------------------
 # Batched piece tables
 # ---------------------------------------------------------------------------
-
-_SHAPE_CODE = {"affine": 1, "smoothstep": 2, "sine": 3}
-
-
-def _shape_unit(code: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = t.copy()
-    m = code == 2
-    if m.any():
-        ts = t[m]
-        out[m] = ts * ts * (3.0 - 2.0 * ts)
-    m = code == 3
-    if m.any():
-        out[m] = 0.5 * (1.0 - np.cos(np.pi * t[m]))
-    return out
-
-
-def _shape_deriv(code: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.ones_like(t)
-    m = code == 2
-    if m.any():
-        ts = t[m]
-        out[m] = 6.0 * ts * (1.0 - ts)
-    m = code == 3
-    if m.any():
-        out[m] = 0.5 * np.pi * np.sin(np.pi * t[m])
-    return out
 
 
 def _polyval_grid(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
