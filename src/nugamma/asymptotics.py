@@ -147,7 +147,7 @@ def lambda_sweep(
     for lam in lams:
         try:
             encs.append(f_enclosures_batch([u], g, float(lam), tol, max_depth)[0])
-        except Exception as exc:  # record and continue the sweep
+        except ValueError as exc:  # the engine's documented failure; record it
             encs.append(None)
             failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
     return SweepResult(

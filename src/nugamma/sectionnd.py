@@ -457,12 +457,12 @@ def F_nd_estimate(
         part = secs[i : i + chunk]
         try:
             encs = f_enclosures_batch(part, g, lam, tol_1d, max_depth)
-        except Exception:
+        except ValueError:
             encs = []
             for u in part:
                 try:
                     encs.append(f_enclosures_batch([u], g, lam, tol_1d, max_depth)[0])
-                except Exception:
+                except ValueError:
                     encs.append(None)
         for kk, enc in enumerate(encs):
             if enc is None:

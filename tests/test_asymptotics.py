@@ -117,6 +117,32 @@ def test_lambda_sweep_jump():
         assert enc.lo <= 1.0 <= enc.hi
 
 
+def _raising_engine(exc_type):
+    def engine(*args, **kwargs):
+        raise exc_type("engine failure")
+
+    return engine
+
+
+def test_lambda_sweep_records_engine_value_error(monkeypatch):
+    monkeypatch.setattr(
+        "nugamma.asymptotics.f_enclosures_batch", _raising_engine(ValueError)
+    )
+    sweep = lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3)
+    assert sweep.enclosures == (None, None, None)
+    assert sweep.failures == tuple(
+        (lam, "ValueError: engine failure") for lam in sweep.lambdas
+    )
+
+
+def test_lambda_sweep_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(
+        "nugamma.asymptotics.f_enclosures_batch", _raising_engine(TypeError)
+    )
+    with pytest.raises(TypeError):
+        lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3)
+
+
 def test_limit_estimate_and_verdict():
     u = single_jump(1.0)
     sweep = lambda_sweep(u, 1.0, 1e2, 1e4, points=5)

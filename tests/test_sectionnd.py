@@ -269,6 +269,33 @@ def test_f_nd_disk_small_run():
     assert abs(est.mean - target) <= 3.0 * est.stderr + est.systematic + 1e-9
 
 
+def test_f_nd_records_value_errors_and_propagates_others(monkeypatch):
+    import nugamma.sectionnd as sectionnd
+
+    field = BallIndicatorField(dimension=2, center=(0.0, 0.0), radius=1.0, height=1.0)
+    engine = sectionnd.f_enclosures_batch
+    calls = []
+
+    def flaky(funcs, *args, **kwargs):
+        # The batch fails, and so does its first section retried alone.
+        calls.append(len(funcs))
+        if len(calls) <= 2:
+            raise ValueError("engine failure")
+        return engine(funcs, *args, **kwargs)
+
+    monkeypatch.setattr(sectionnd, "f_enclosures_batch", flaky)
+    est = F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
+    assert calls == [6, 1, 1, 1, 1, 1, 1]
+    assert est.failures == 1 and est.samples == 5
+
+    def broken(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(sectionnd, "f_enclosures_batch", broken)
+    with pytest.raises(TypeError):
+        F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
+
+
 def test_f_nd_translation_invariance():
     lam = 1e4
     a = F_nd_estimate(
