@@ -228,13 +228,11 @@ class _Batch:
 
         self.Kj = max((len(v) for v in jumps), default=0)
         self.jloc = np.full((S, self.Kj), np.inf)
-        self.jabs = np.zeros((S, self.Kj))
-        self.jsgn = np.zeros((S, self.Kj))
+        self.jh = np.zeros((S, self.Kj))
         for i, v in enumerate(jumps):
             for k, p in enumerate(v):
                 self.jloc[i, k] = p.location
-                self.jabs[i, k] = abs(p.height)
-                self.jsgn[i, k] = math.copysign(1.0, p.height)
+                self.jh[i, k] = p.height
 
         self.Ks = max((len(v) for v in shaped), default=0)
         self.sa = np.zeros((S, self.Ks))
@@ -254,13 +252,11 @@ class _Batch:
         self.Kc = max((len(v) for v in cantor), default=0)
         self.ca = np.zeros((S, self.Kc))
         self.cb = np.ones((S, self.Kc))
-        self.crabs = np.zeros((S, self.Kc))
-        self.csgn = np.zeros((S, self.Kc))
+        self.crise = np.zeros((S, self.Kc))
         for i, v in enumerate(cantor):
             for k, p in enumerate(v):
                 self.ca[i, k], self.cb[i, k] = p.support
-                self.crabs[i, k] = abs(p.rise)
-                self.csgn[i, k] = p.orientation
+                self.crise[i, k] = p.signed_rise
 
         self.Kp = max((len(v) for v in poly), default=0)
         D = 1
@@ -324,15 +320,16 @@ def _holder_cap(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signed_sum(s, low, up):
-    """Row sums of the pieces' signed increment intervals.
+def _add_signed(LU, s, low, up):
+    """Add the pieces' signed increment intervals to the rows of ``LU``.
 
     ``low`` and ``up`` bound each piece's |increment| over a box and
     ``s`` is the piece's direction on the pair span (only its sign is
     read).  An increasing piece moves by [low, up], a decreasing one by
     [-up, -low], and one not known to be monotone (s = 0) by [-up, up].
     """
-    return np.where(s > 0, low, -up).sum(axis=1), np.where(s < 0, -low, up).sum(axis=1)
+    LU[0] += np.where(s > 0, low, -up).sum(axis=1)
+    LU[1] += np.where(s < 0, -low, up).sum(axis=1)
 
 
 def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
@@ -351,7 +348,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     pair increment at the shortest separation h0.  The lower bound only
     holds for a piece monotone on the span, whose direction then turns
     the two magnitudes into a signed interval for its increment (see
-    :func:`_signed_sum`).  The increment of u lies in the sum [L, U] of
+    :func:`_add_signed`).  The increment of u lies in the sum [L, U] of
     these intervals, so |u(x+h) - u(x)| lies in
     [max(0, L, -U), max(U, -L)]: same-direction pieces add, and opposite
     ones cancel, e.g. two opposite jumps that every pair straddles.
@@ -363,8 +360,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     core_ok = core_hi > core_lo
     win_hi = x1 + h0
 
-    L = np.zeros(W)
-    U = np.zeros(W)
+    LU = np.zeros((2, W))
     xfeat = np.zeros(W, dtype=bool)
     xsmooth = np.zeros(W, dtype=bool)
 
@@ -374,14 +370,11 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 
     if B.Kj:
         jl = B.jloc[sid]
-        ja = B.jabs[sid]
+        jh = B.jh[sid]
+        ja = np.abs(jh)
         poss = (x0[:, None] < jl) & (jl <= span_hi[:, None])
         always = (core_lo[:, None] < jl) & (jl <= core_hi[:, None])
-        lo_i, hi_i = _signed_sum(
-            B.jsgn[sid], np.where(always, ja, 0.0), np.where(poss, ja, 0.0)
-        )
-        L += lo_i
-        U += hi_i
+        _add_signed(LU, jh, np.where(always, ja, 0.0), np.where(poss, ja, 0.0))
 
     if B.Ks:
         a = B.sa[sid]
@@ -428,15 +421,14 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
         smin = np.minimum(_shape_deriv(code, t0), _shape_deriv(code, tw1))
         dmul = np.where(win_in, np.abs(rise) * (h0[:, None] / w) * smin, 0.0)
-        lo_i, hi_i = _signed_sum(rise, np.maximum(inc, np.maximum(dwin, dmul)), up_i)
-        L += lo_i
-        U += hi_i
+        _add_signed(LU, rise, np.maximum(inc, np.maximum(dwin, dmul)), up_i)
 
     if B.Kc:
         a = B.ca[sid]
         b = B.cb[sid]
         w = b - a
-        r = B.crabs[sid]
+        crise = B.crise[sid]
+        r = np.abs(crise)
         xfeat |= ((r > 0.0) & (a < span_hi[:, None]) & (b > x0[:, None])).any(axis=1)
         ts0 = np.clip((x0[:, None] - a) / w - _TNUDGE, 0.0, 1.0)
         ts1 = np.clip((span_hi[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
@@ -447,11 +439,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
         tau = np.minimum(h1[:, None], np.maximum(ov, 0.0)) / w
         inc = np.where(core_ok[:, None], r * np.maximum(cv[3] - cv[2], 0.0), 0.0)
-        lo_i, hi_i = _signed_sum(
-            B.csgn[sid], inc, np.minimum(osc, _holder_cap(r, tau))
-        )
-        L += lo_i
-        U += hi_i
+        _add_signed(LU, crise, inc, np.minimum(osc, _holder_cap(r, tau)))
 
     if B.Kp:
         a = B.pa[sid]
@@ -524,12 +512,9 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             np.abs(gv[..., 1] - gv[..., 0]), np.abs(gv[..., 3] - gv[..., 2])
         )
         gwin = np.where(win_in & ~dmask.any(axis=-1), ginc, 0.0)
-        lo_i, hi_i = _signed_sum(
-            direction, np.maximum(inc, np.maximum(dwin, gwin)), up_i
-        )
-        L += lo_i
-        U += hi_i
+        _add_signed(LU, direction, np.maximum(inc, np.maximum(dwin, gwin)), up_i)
 
+    L, U = LU
     low = np.maximum(np.maximum(L, -U), 0.0)
     return np.maximum(U, -L), low, xfeat, xsmooth
 
