@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -60,8 +59,22 @@ Interval = tuple[float, float]
 CANTOR_DIGITS = 64
 
 
-@lru_cache(maxsize=1 << 17)
-def _cantor_unit(t) -> float:
+def cantor_eval(t) -> float:
+    """Value of the standard Cantor staircase at ``t`` in [0, 1].
+
+    Ternary digits of ``t`` are consumed until the first digit 1; digits
+    0 and 2 map to binary digits 0 and 1, and a trailing binary 1 is
+    appended when a ternary 1 ended the scan.  The digit scan runs in
+    exact integer arithmetic (floats and ``Fraction`` inputs both work),
+    truncated at ``CANTOR_DIGITS`` digits.  Inputs whose expansion
+    terminates or hits a 1 within the budget are evaluated exactly.
+    """
+    if t < 0 or t > 1:
+        raise ValueError(f"cantor_eval needs 0 <= t <= 1, got {t!r}")
+    if t == 0:
+        return 0.0
+    if t == 1:
+        return 1.0
     num, den = t.as_integer_ratio()
     acc = 0
     bits = 0
@@ -79,33 +92,73 @@ def _cantor_unit(t) -> float:
     return acc / (1 << bits)
 
 
-def cantor_eval(t) -> float:
-    """Value of the standard Cantor staircase at ``t`` in [0, 1].
+#: The array scan holds each t as a 156-bit fixed-point integer in three
+#: 52-bit int64 limbs.  That is exact for floats t >= 2**-102, which have
+#: no bits below 2**-154; smaller ones, under 3**-64, scan CANTOR_DIGITS
+#: zeros either way.  The scan reads _BLOCK digits per step: multiplying
+#: a limb by 3**6 and adding a carry stays below 2**63.
+_LIMB = 52
+_LIMB_MASK = (1 << _LIMB) - 1
+_BLOCK = 6
 
-    Ternary digits of ``t`` are consumed until the first digit 1; digits
-    0 and 2 map to binary digits 0 and 1, and a trailing binary 1 is
-    appended when a ternary 1 ended the scan.  The digit scan runs in
-    exact integer arithmetic (floats and ``Fraction`` inputs both work),
-    truncated at ``CANTOR_DIGITS`` digits.  Inputs whose expansion
-    terminates or hits a 1 within the budget are evaluated exactly.
+
+def _block_table(k: int):
+    """Scan of every k-digit ternary block q, most significant digit first.
+
+    Returns per q the digits the scalar scan consumes (through the first
+    1), the binary digits they append to the result, and whether a 1
+    ended the scan.
     """
-    if t < 0 or t > 1:
-        raise ValueError(f"cantor_eval needs 0 <= t <= 1, got {t!r}")
-    if t == 0:
-        return 0.0
-    if t == 1:
-        return 1.0
-    return _cantor_unit(t)
+    digits = np.arange(3**k)[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
+    hit = (digits == 1).any(axis=1)
+    used = np.where(hit, (digits == 1).argmax(axis=1) + 1, k)
+    bits = (((digits + 1) // 2) << np.arange(k - 1, -1, -1)).sum(axis=1) >> (k - used)
+    return used.astype(np.uint64), bits.astype(np.uint64), hit
+
+
+_BLOCK_TABLES = {k: _block_table(k) for k in {_BLOCK, CANTOR_DIGITS % _BLOCK or _BLOCK}}
 
 
 def cantor_eval_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised staircase evaluation, deduplicating repeated abscissae."""
+    """Staircase values over an array in [0, 1], equal to :func:`cantor_eval`.
+
+    Runs the scalar digit scan on every entry at once, in exact integer
+    arithmetic, so each value matches the scalar one bit for bit.  A float
+    in (0, 1) is a dyadic rational, so its remainder never reaches zero.
+    """
     flat = np.asarray(values, dtype=float).ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    out = np.fromiter(
-        (_cantor_unit(float(v)) for v in uniq), dtype=float, count=uniq.size
-    )
-    return out[inv].reshape(np.shape(values))
+    out = np.where(flat == 1.0, 1.0, 0.0)
+    pos = np.nonzero((flat > 0.0) & (flat < 1.0))[0]
+    r = flat[pos]
+    limbs = []
+    for _ in range(3):
+        r = r * float(1 << _LIMB)
+        whole = np.floor(r)
+        limbs.append(whole.astype(np.int64))
+        r = r - whole
+    hi, mid, lo = limbs
+    acc = np.zeros(pos.size, dtype=np.uint64)
+    done = 0
+    while pos.size and done < CANTOR_DIGITS:
+        k = min(_BLOCK, CANTOR_DIGITS - done)
+        used, bits, hit = _BLOCK_TABLES[k]
+        lo = lo * 3**k
+        mid = mid * 3**k + (lo >> _LIMB)
+        hi = hi * 3**k + (mid >> _LIMB)
+        lo &= _LIMB_MASK
+        mid &= _LIMB_MASK
+        q = hi >> _LIMB
+        hi &= _LIMB_MASK
+        n = used[q]
+        acc = (acc << n) | bits[q]
+        done += k
+        fin = hit[q] | (done == CANTOR_DIGITS)
+        if fin.any():
+            scale = (done - k) + n[fin].astype(np.int64)
+            out[pos[fin]] = np.ldexp(acc[fin].astype(float), -scale)
+            keep = ~fin
+            pos, hi, mid, lo, acc = pos[keep], hi[keep], mid[keep], lo[keep], acc[keep]
+    return out.reshape(np.shape(values))
 
 
 # ---------------------------------------------------------------------------

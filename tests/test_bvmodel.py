@@ -80,7 +80,7 @@ def test_cantor_monotone():
 
 def test_cantor_eval_array_matches_scalar():
     rng = np.random.default_rng(11)
-    ts = rng.uniform(0.0, 1.0, size=64)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, size=64), [0.0, 1.0]])
     arr = cantor_eval_array(ts)
     for t, v in zip(ts, arr):
         assert v == cantor_eval(float(t))

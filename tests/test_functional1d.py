@@ -9,6 +9,7 @@ from nugamma.bvmodel import (
     BVFunction1D,
     JumpPiece,
     affine_ramp,
+    cantor_eval,
     cantor_staircase,
     polynomial_piece,
     sine_ramp,
@@ -161,6 +162,26 @@ def test_grid_estimate_inside_enclosure():
     xm = 0.5 * (xs[:-1] + xs[1:])
     hm = 0.5 * (hs[:-1] + hs[1:])
     X, Hh = np.meshgrid(xm, hm, indexing="ij")
+    exceed = np.abs(u_np(X + Hh) - u_np(X)) > lam * Hh ** (1.0 + g)
+    cell = np.diff(xs)[:, None] * (Hh ** (g - 1.0)) * np.diff(hs)[None, :]
+    est = float((cell * exceed).sum())
+    assert enc.lo - 0.05 * enc.hi <= est <= enc.hi * 1.05
+
+
+def test_cantor_grid_estimate_inside_enclosure():
+    # Pairs reaching past the right end of the staircase's support count
+    # too; an evaluator that read the staircase at t = 1 as 1/2 certified
+    # half of this value.
+    u = cantor_staircase(0.0, 1.0, 1.0)
+    g, lam = 1.0, 25.0
+    enc = measure_exceedance(u, ExceedanceQuery(gamma=g, lam=lam, tol=1e-2))
+    H = truncation_radius(u.total_variation, lam, g)
+    xs = np.linspace(-H, 1.0, 601)
+    hs = np.linspace(0.0, H, 601)
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    hm = 0.5 * (hs[:-1] + hs[1:])
+    X, Hh = np.meshgrid(xm, hm, indexing="ij")
+    u_np = np.vectorize(lambda x: cantor_eval(min(max(x, 0.0), 1.0)))
     exceed = np.abs(u_np(X + Hh) - u_np(X)) > lam * Hh ** (1.0 + g)
     cell = np.diff(xs)[:, None] * (Hh ** (g - 1.0)) * np.diff(hs)[None, :]
     est = float((cell * exceed).sum())
