@@ -10,6 +10,7 @@ from nugamma.bvmodel import (
     JumpPiece,
     affine_ramp,
     cantor_eval,
+    cantor_piece,
     cantor_staircase,
     polynomial_piece,
     sine_ramp,
@@ -217,23 +218,66 @@ def test_classify_box_mixed():
 
 
 def test_pair_increment_bounds_bracket_samples():
-    u = BVFunction1D(
-        pieces=(
+    families = [
+        (
             affine_ramp(0.0, 1.0, 1.0),
             JumpPiece(location=0.5, height=-0.25),
             smoothstep_piece(0.2, 0.8, 0.4),
-        )
-    )
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        x0, x1 = np.sort(rng.uniform(-0.5, 1.5, size=2))
-        h0, h1 = np.sort(rng.uniform(0.01, 1.0, size=2))
-        if x1 - x0 < 1e-6 or h1 - h0 < 1e-6:
-            continue
-        box = PlaneBox((float(x0), float(x1)), (float(h0), float(h1)))
-        low, up = pair_increment_bounds(u, box)
-        xs = rng.uniform(x0, x1, size=25)
-        hs = rng.uniform(h0, h1, size=25)
-        for x, h in zip(xs, hs):
-            d = abs(u.eval(float(x + h)) - u.eval(float(x)))
-            assert low - 1e-12 <= d <= up + 1e-12
+        ),
+        # Mixed directions, where the signed intervals of pieces cancel.
+        (JumpPiece(location=0.3, height=1.0), JumpPiece(location=0.35, height=-1.0)),
+        (cantor_piece(0.0, 1.0, -1.0), affine_ramp(0.2, 0.9, 1.5)),
+        (
+            polynomial_piece(0.0, 1.0, [0.0, 1.0, -3.0, 2.0]),
+            JumpPiece(location=0.6, height=0.3),
+        ),
+    ]
+    for pieces in families:
+        u = BVFunction1D(pieces=pieces)
+        rng = np.random.default_rng(23)
+        boxes = []
+        for _ in range(50):
+            x0, x1 = np.sort(rng.uniform(-0.5, 1.5, size=2))
+            h0, h1 = np.sort(rng.uniform(0.01, 1.0, size=2))
+            boxes.append((x0, x1, h0, h1))
+        # Thin boxes, whose pairs all straddle the same features, so the
+        # lower bounds are nonzero.
+        for _ in range(50):
+            x0 = rng.uniform(-0.2, 1.0)
+            h0 = rng.uniform(0.001, 0.3)
+            dx, dh = 10.0 ** rng.uniform(-5.0, -1.0, size=2)
+            boxes.append((x0, x0 + dx, h0, h0 + dh))
+        for x0, x1, h0, h1 in boxes:
+            if x1 - x0 < 1e-6 or h1 - h0 < 1e-6:
+                continue
+            box = PlaneBox((float(x0), float(x1)), (float(h0), float(h1)))
+            low, up = pair_increment_bounds(u, box)
+            xs = rng.uniform(x0, x1, size=25)
+            hs = rng.uniform(h0, h1, size=25)
+            for x, h in zip(xs, hs):
+                d = abs(u.eval(float(x + h)) - u.eval(float(x)))
+                assert low - 1e-12 <= d <= up + 1e-12
+
+
+def _opposite_jumps_F(d, gamma, lam):
+    """F of two opposite unit jumps a distance d apart.
+
+    Pairs straddling one jump move by 1 and exceed below the cutoff
+    H = lam^(-1/(1+gamma)); pairs straddling both move by 0.
+    """
+    g = gamma
+    H = lam ** (-1.0 / (1.0 + g))
+    s = min(d, H)
+    return 2.0 * lam * 2.0 * (s ** (1.0 + g) / (1.0 + g) + d * (H**g - s**g) / g)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("d", [0.02, 0.05])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_opposite_jumps_closed_form(sign, d, gamma):
+    lam, tol = 1e2, 1e-3
+    u = BVFunction1D(pieces=(JumpPiece(0.0, sign), JumpPiece(d, -sign)))
+    enc = F_value(u, ExceedanceQuery(gamma=gamma, lam=lam, tol=tol))
+    exact = _opposite_jumps_F(d, gamma, lam)
+    assert enc.lo <= exact <= enc.hi
+    assert enc.tol_met and enc.width <= tol
