@@ -69,7 +69,7 @@ __all__ = [
 DEFAULT_TOL_SCALE = 1e-4
 
 #: Boxes classified per vectorised slice; bounds peak memory.
-_WAVE_CHUNK = 1 << 18
+_WAVE_CHUNK = 1 << 16
 
 #: Hard cap on simultaneously alive boxes.  Beyond it the smallest-mass
 #: boxes are retired into the enclosure's slack instead of splitting.
@@ -548,8 +548,6 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
     sid = np.arange(S)
     depth = np.zeros(S, dtype=np.int32)
 
-    supp_w = B.supp_w
-
     while x0.size:
         W = x0.size
         up = np.empty(W)
@@ -609,7 +607,7 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
         # and tightening the h band is relative to its own height, so
         # those boxes compare the two improvement ratios instead.
         want_x = (xfeat[idx] & (bxw >= bhw)) | (
-            xsmooth[idx] & (bxw * bh1 >= bhw * supp_w[sid[idx]])
+            xsmooth[idx] & (bxw * bh1 >= bhw * B.supp_w[sid[idx]])
         )
         do_x = (want_x & ok_x) | (~ok_h & ok_x)
         do_h = ~do_x & ok_h
@@ -628,6 +626,11 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
         nsid = sid[par]
         ndepth = depth[par] + 1
         x0, x1, h0, h1, sid, depth = nx0, nx1, nh0, nh1, nsid, ndepth
+        # Free this wave's arrays before the next, larger wave allocates
+        # its own; the deepest waves set the run's peak memory.
+        del up, low, xfeat, xsmooth, thr_lo, thr_hi, outside, inside, mass
+        del mixed, keep, splittable, capped, idx, bx0, bx1, bh0, bh1, xm, hk
+        del hm, ha, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
 
     slack = np.where(frozen, frozen_extra, stuck)
     tol_met = frozen | (stuck <= tol_nu)
