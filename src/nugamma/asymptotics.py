@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bvmodel import BVFunction1D, VariationTriple
-from .functional1d import f_enclosures_batch
+from .functional1d import ExceedanceQuery, f_enclosures_batch
 from .numeasure import Enclosure, as_gamma, nu_curved, nu_triangle
 from .sectionnd import c_n_constant
 
@@ -133,25 +133,29 @@ def lambda_sweep(
     max_depth: int = 40,
     function_id: str = "",
 ) -> SweepResult:
-    """Evaluate the functional on a geometric grid of threshold slopes."""
-    g = as_gamma(gamma)
+    """Evaluate the functional on a geometric grid of threshold slopes.
+
+    Bad arguments raise before any evaluation; a ValueError from the
+    engine at one grid point is recorded in ``failures`` instead.
+    """
     if not (0.0 < lam_min <= lam_max) or not math.isfinite(lam_max):
         raise ValueError("need 0 < lam_min <= lam_max, both finite")
     if points < 1:
         raise ValueError("points must be at least 1")
     if points == 1 and lam_min != lam_max:
         raise ValueError("a single-point sweep needs lam_min == lam_max")
+    q = ExceedanceQuery(gamma, lam_min, tol, max_depth)
     lams = np.geomspace(lam_min, lam_max, points)
     encs: list[Enclosure | None] = []
     failures: list[tuple[float, str]] = []
     for lam in lams:
         try:
-            encs.append(f_enclosures_batch([u], g, float(lam), tol, max_depth)[0])
+            encs.append(f_enclosures_batch([u], q.gamma, float(lam), q.tol, q.max_depth)[0])
         except ValueError as exc:  # the engine's documented failure; record it
             encs.append(None)
             failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
     return SweepResult(
-        tuple(float(v) for v in lams), tuple(encs), g, function_id, tuple(failures)
+        tuple(float(v) for v in lams), tuple(encs), q.gamma, function_id, tuple(failures)
     )
 
 

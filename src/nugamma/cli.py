@@ -373,8 +373,7 @@ def _run_section_nd(cfg: dict, out_dir: Path):
         if cfg.get("tol_1d") is not None:
             tol_1d = _num(cfg["tol_1d"], "tol_1d", positive=True)
         max_depth = _int(cfg.get("max_depth", 40), "max_depth", minimum=1)
-        chunk = _int(cfg.get("chunk", 2048), "chunk", minimum=1)
-        est = F_nd_estimate(field, g, lam, samples, seed, tol_1d, max_depth, chunk)
+        est = F_nd_estimate(field, g, lam, samples, seed, tol_1d, max_depth)
         target = sbv_target(field.variation_parts, g, field.dimension)
     gate = 3.0 * est.stderr + est.systematic + 1e-12 * max(1.0, abs(target))
     results = {
@@ -598,22 +597,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=_MODES, help="override the config's mode")
     p.add_argument("--out", metavar="DIR", help="output directory (default: config 'out' or '.')")
     p.add_argument("--seed", type=int, metavar="N", help="override the config's sampling seed")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker-count hint, recorded in the report; execution is "
-        "serial and deterministic regardless",
-    )
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         cfg = load_config(args.config)
@@ -638,7 +626,6 @@ def main(argv=None) -> int:
                 "python": platform.python_version(),
             },
             "generator": "Philox",
-            "threads": args.threads,
             "timings": {"total_s": time.perf_counter() - started},
             "outputs": [*written, "report.json"],
             "results": results,

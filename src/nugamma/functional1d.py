@@ -171,6 +171,24 @@ def _polyval_grid(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return r
 
 
+def _table(rows, fill, dtype=float, tail=()) -> np.ndarray:
+    """Stack ragged per-section rows into one array padded with ``fill``.
+
+    ``rows[i]`` lists section i's entries, so the result has shape
+    (len(rows), longest row, *tail).  With a ``tail`` every entry is a
+    sequence no longer than tail[0], padded the same way.
+    """
+    out = np.full((len(rows), max(map(len, rows), default=0), *tail), fill, dtype=dtype)
+    if out.size:
+        for i, row in enumerate(rows):
+            if tail:
+                for k, v in enumerate(row):
+                    out[i, k, : len(v)] = v
+            else:
+                out[i, : len(row)] = row
+    return out
+
+
 class _Batch:
     """Padded struct-of-arrays view of several functions' pieces.
 
@@ -185,117 +203,80 @@ class _Batch:
     """
 
     def __init__(self, funcs: Sequence[BVFunction1D]):
-        S = len(funcs)
-        self.S = S
+        self.S = len(funcs)
         jumps: list[list[JumpPiece]] = []
         shaped: list[list[SmoothPiece]] = []
         cantor: list[list[CantorPiece]] = []
         poly: list[list[SmoothPiece]] = []
         feats: list[list[float]] = []
-        tv = np.zeros(S)
-        supp_lo = np.zeros(S)
-        supp_hi = np.zeros(S)
-        for i, u in enumerate(funcs):
+        hulls = []
+        for u in funcs:
             js, sh, ca, po = [], [], [], []
             ft: list[float] = []
             for p in u.pieces:
                 if isinstance(p, JumpPiece):
                     js.append(p)
                     ft.append(p.location)
-                elif isinstance(p, CantorPiece):
+                    continue
+                ft.extend(p.support)
+                if isinstance(p, CantorPiece):
                     ca.append(p)
-                    ft.extend(p.support)
                 elif isinstance(p.profile, ShapedRamp):
                     sh.append(p)
-                    ft.extend(p.support)
                 else:
                     po.append(p)
                     a, b = p.support
-                    ft.extend(p.support)
                     ft.extend(a + c * (b - a) for c in p.profile.crit)
             jumps.append(js)
             shaped.append(sh)
             cantor.append(ca)
             poly.append(po)
             feats.append(ft)
-            tv[i] = u.total_variation
-            hull = u.derivative_support()
-            if hull is not None:
-                supp_lo[i], supp_hi[i] = hull
-        self.tv = tv
-        self.origin = supp_lo
-        self.supp_w = supp_hi - supp_lo
+            hulls.append(u.derivative_support() or (0.0, 0.0))
+        self.tv = np.array([u.total_variation for u in funcs], dtype=float)
+        supp = np.array(hulls, dtype=float).reshape(-1, 2)
+        self.origin = supp[:, 0]
+        self.supp_w = supp[:, 1] - supp[:, 0]
 
-        self.Kj = max((len(v) for v in jumps), default=0)
-        self.jloc = np.full((S, self.Kj), np.inf)
-        self.jh = np.zeros((S, self.Kj))
-        for i, v in enumerate(jumps):
-            for k, p in enumerate(v):
-                self.jloc[i, k] = p.location
-                self.jh[i, k] = p.height
+        def rows(groups, get):
+            return [[get(p) for p in v] for v in groups]
 
-        self.Ks = max((len(v) for v in shaped), default=0)
-        self.sa = np.zeros((S, self.Ks))
-        self.sb = np.ones((S, self.Ks))
-        self.srise = np.zeros((S, self.Ks))
-        self.scode = np.zeros((S, self.Ks), dtype=np.int8)
+        self.jloc = _table(rows(jumps, lambda p: p.location), np.inf)
+        self.jh = _table(rows(jumps, lambda p: p.height), 0.0)
+
+        self.sa = _table(rows(shaped, lambda p: p.support[0]), 0.0)
+        self.sb = _table(rows(shaped, lambda p: p.support[1]), 1.0)
+        self.srise = _table(rows(shaped, lambda p: p.profile.rise), 0.0)
+        self.scode = _table(rows(shaped, lambda p: _SHAPE_CODE[p.profile.shape]), 0, np.int8)
         # Non-affine ramps have varying slope, so boxes overlapping them
         # benefit from x-refinement (localising the derivative window).
-        self.svar = np.zeros((S, self.Ks), dtype=bool)
-        for i, v in enumerate(shaped):
-            for k, p in enumerate(v):
-                self.sa[i, k], self.sb[i, k] = p.support
-                self.srise[i, k] = p.profile.rise
-                self.scode[i, k] = _SHAPE_CODE[p.profile.shape]
-                self.svar[i, k] = p.profile.shape != "affine"
+        self.svar = _table(rows(shaped, lambda p: p.profile.shape != "affine"), False, bool)
 
-        self.Kc = max((len(v) for v in cantor), default=0)
-        self.ca = np.zeros((S, self.Kc))
-        self.cb = np.ones((S, self.Kc))
-        self.crise = np.zeros((S, self.Kc))
-        for i, v in enumerate(cantor):
-            for k, p in enumerate(v):
-                self.ca[i, k], self.cb[i, k] = p.support
-                self.crise[i, k] = p.signed_rise
+        self.ca = _table(rows(cantor, lambda p: p.support[0]), 0.0)
+        self.cb = _table(rows(cantor, lambda p: p.support[1]), 1.0)
+        self.crise = _table(rows(cantor, lambda p: p.signed_rise), 0.0)
 
-        self.Kp = max((len(v) for v in poly), default=0)
-        D = 1
-        C = 0
-        C2 = 0
-        for v in poly:
-            for p in v:
-                D = max(D, len(p.profile.coeffs))
-                C = max(C, len(p.profile.crit))
-                C2 = max(C2, len(p.profile.dcrit))
-        self.pa = np.zeros((S, self.Kp))
-        self.pb = np.ones((S, self.Kp))
-        self.pcoef = np.zeros((S, self.Kp, D))
-        self.pder = np.zeros((S, self.Kp, D))
-        self.pcrit = np.full((S, self.Kp, C), np.nan)
-        self.pdcrit = np.full((S, self.Kp, C2), np.nan)
-        self.pvar = np.zeros((S, self.Kp), dtype=bool)
-        for i, v in enumerate(poly):
-            for k, p in enumerate(v):
-                prof = p.profile
-                self.pa[i, k], self.pb[i, k] = p.support
-                cs = prof.coeffs
-                self.pcoef[i, k, : len(cs)] = cs
-                if len(cs) > 1:
-                    der = np.polynomial.polynomial.polyder(cs)
-                    self.pder[i, k, : len(der)] = der
-                    self.pvar[i, k] = any(c != 0.0 for c in der[1:])
-                self.pcrit[i, k, : len(prof.crit)] = prof.crit
-                self.pdcrit[i, k, : len(prof.dcrit)] = prof.dcrit
+        profs = [p.profile for v in poly for p in v]
+        D = max((len(q.coeffs) for q in profs), default=1)
+        C = max((len(q.crit) for q in profs), default=0)
+        C2 = max((len(q.dcrit) for q in profs), default=0)
+        self.pa = _table(rows(poly, lambda p: p.support[0]), 0.0)
+        self.pb = _table(rows(poly, lambda p: p.support[1]), 1.0)
+        self.pcoef = _table(rows(poly, lambda p: p.profile.coeffs), 0.0, tail=(D,))
+        der = rows(poly, lambda p: [k * c for k, c in enumerate(p.profile.coeffs)][1:])
+        self.pder = _table(der, 0.0, tail=(D,))
+        self.pcrit = _table(rows(poly, lambda p: p.profile.crit), np.nan, tail=(C,))
+        self.pdcrit = _table(rows(poly, lambda p: p.profile.dcrit), np.nan, tail=(C2,))
+        self.pvar = (self.pder[..., 1:] != 0.0).any(axis=-1)
 
-        self.Kf = max((len(v) for v in feats), default=0)
-        self.feat = np.full((S, self.Kf), np.inf)
-        for i, v in enumerate(feats):
-            self.feat[i, : len(v)] = v
+        self.feat = _table(feats, np.inf)
+        self.Kj, self.Ks, self.Kc, self.Kp, self.Kf = (
+            t.shape[1] for t in (self.jloc, self.sa, self.ca, self.pa, self.feat)
+        )
 
         o = self.origin[:, None]
-        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb):
+        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb, self.feat):
             t -= o
-        self.feat -= o
 
 
 # ---------------------------------------------------------------------------
@@ -637,18 +618,6 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
     return lo_acc, slack, tol_met
 
 
-def _resolved_tolerances(funcs, gamma, lam, tol):
-    g = as_gamma(gamma)
-    out = np.empty(len(funcs))
-    for i, u in enumerate(funcs):
-        if tol is not None:
-            out[i] = float(tol)
-        else:
-            v = u.total_variation
-            out[i] = DEFAULT_TOL_SCALE * max(1.0, 2.0 * v / (1.0 + g))
-    return out
-
-
 def f_enclosures_batch(
     funcs: Sequence[BVFunction1D],
     gamma,
@@ -659,34 +628,22 @@ def f_enclosures_batch(
     """Enclosures of the functional for many functions in one refinement.
 
     All functions share gamma, lam, and the width target semantics of
-    :class:`ExceedanceQuery`.  Constant functions evaluate to the exact
-    enclosure [0, 0] without entering the refinement.
+    :class:`ExceedanceQuery`, which validates them.  A constant function
+    refines like any other: its root box has zero mass and is classified
+    outside at once, so its enclosure is exactly [0, 0].
     """
-    g = as_gamma(gamma)
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be a finite positive number")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    results: list[Enclosure | None] = [None] * len(funcs)
-    live: list[BVFunction1D] = []
-    live_idx: list[int] = []
-    for i, u in enumerate(funcs):
-        if u.total_variation == 0.0:
-            results[i] = Enclosure(0.0, 0.0)
-        else:
-            live.append(u)
-            live_idx.append(i)
-    if live:
-        tol_f = _resolved_tolerances(live, g, lam, tol)
-        batch = _Batch(live)
-        lo, slack, met = _split_wave(batch, g, lam, tol_f / (2.0 * lam), max_depth)
-        scale = 2.0 * lam
-        for k, i in enumerate(live_idx):
-            results[i] = Enclosure(
-                scale * lo[k], scale * (lo[k] + slack[k]), bool(met[k])
-            )
-    return results  # type: ignore[return-value]
+    q = ExceedanceQuery(gamma, lam, tol, max_depth)
+    batch = _Batch(funcs)
+    scale = 2.0 * q.lam
+    if q.tol is None:
+        tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * batch.tv / (1.0 + q.gamma))
+    else:
+        tol_f = q.tol
+    lo, slack, met = _split_wave(batch, q.gamma, q.lam, tol_f / scale, q.max_depth)
+    return [
+        Enclosure(scale * lo[k], scale * (lo[k] + slack[k]), bool(met[k]))
+        for k in range(batch.S)
+    ]
 
 
 def measure_exceedance(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:

@@ -31,8 +31,7 @@ from .bvmodel import (
     affine_ramp,
     polynomial_piece,
 )
-from .functional1d import f_enclosures_batch
-from .numeasure import as_gamma
+from .functional1d import ExceedanceQuery, f_enclosures_batch
 
 __all__ = [
     "unit_ball_volume",
@@ -49,6 +48,11 @@ __all__ = [
     "sectioning_variation_check",
     "variation_check_target",
 ]
+
+
+#: Sections per engine call in :func:`F_nd_estimate`; bounds the size of
+#: one refinement batch.
+_SECTION_CHUNK = 2048
 
 
 def unit_ball_volume(k: int) -> float:
@@ -433,7 +437,6 @@ def F_nd_estimate(
     seed: int,
     tol_1d: float | None = None,
     max_depth: int = 40,
-    chunk: int = 2048,
 ) -> MCEstimate:
     """Monte Carlo functional value of an N-dimensional field.
 
@@ -442,26 +445,25 @@ def F_nd_estimate(
     half-width (scaled like the mean) as ``systematic``.  ``tol_1d`` is
     the per-section enclosure width target; the default tracks each
     section's size, which can be needlessly tight for large sample
-    counts.
+    counts.  Bad arguments raise before any section is evaluated.
     """
-    g = as_gamma(gamma)
+    q = ExceedanceQuery(gamma, lam, tol_1d, max_depth)
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
     secs = _sections_for(field, samples, seed)
     mids = np.zeros(samples)
     hws = np.zeros(samples)
     ok = np.ones(samples, dtype=bool)
-    for i in range(0, samples, chunk):
-        part = secs[i : i + chunk]
+    args = (q.gamma, q.lam, q.tol, q.max_depth)
+    for i in range(0, samples, _SECTION_CHUNK):
+        part = secs[i : i + _SECTION_CHUNK]
         try:
-            encs = f_enclosures_batch(part, g, lam, tol_1d, max_depth)
+            encs = f_enclosures_batch(part, *args)
         except ValueError:
             encs = []
             for u in part:
                 try:
-                    encs.append(f_enclosures_batch([u], g, lam, tol_1d, max_depth)[0])
+                    encs.append(f_enclosures_batch([u], *args)[0])
                 except ValueError:
                     encs.append(None)
         for kk, enc in enumerate(encs):

@@ -137,11 +137,10 @@ def test_eval_report_matches_library_bitwise(tmp_path):
 def test_flag_overrides_recorded(tmp_path):
     out = tmp_path / "flagged"
     cfg = eval_config(tmp_path, tmp_path / "ignored")
-    rc = main(["--config", cfg, "--out", str(out), "--seed", "99", "--threads", "4"])
+    rc = main(["--config", cfg, "--out", str(out), "--seed", "99"])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 99
-    assert report["threads"] == 4
 
 
 def test_sweep_outputs(tmp_path):

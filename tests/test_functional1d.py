@@ -19,6 +19,7 @@ from nugamma.bvmodel import (
 )
 from nugamma.functional1d import (
     BoxVerdict,
+    _Batch,
     ExceedanceQuery,
     ZeroVariationError,
     classify_box,
@@ -51,6 +52,12 @@ def test_closed_form_jump_frozen():
     assert closed_form_jump_F(-1.0, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_batch_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        f_enclosures_batch([single_jump(1.0)], 1.0, 10.0, tol, max_depth=4)
+
+
 def test_query_validation():
     ExceedanceQuery(gamma=1.0, lam=10.0)
     with pytest.raises(ValueError):
@@ -81,6 +88,47 @@ def test_constant_function_evaluates_to_zero():
     u = BVFunction1D(pieces=())
     enc = f_enclosures_batch([u], 1.0, 10.0)[0]
     assert enc.lo == 0.0 and enc.hi == 0.0 and enc.tol_met
+
+
+def test_constant_sections_share_the_refinement():
+    # A constant section's root box has zero mass and is classified
+    # outside in the first wave; it must not disturb its neighbours.
+    jump = single_jump(1.0, 0.3)
+    alone = f_enclosures_batch([jump], 1.0, 10.0, 1e-3)[0]
+    flat = BVFunction1D(pieces=(), base_value=3.0)
+    zero, enc = f_enclosures_batch([flat, jump], 1.0, 10.0, 1e-3)
+    assert (zero.lo, zero.hi, zero.tol_met) == (0.0, 0.0, True)
+    assert (enc.lo, enc.hi, enc.tol_met) == (alone.lo, alone.hi, alone.tol_met)
+    assert f_enclosures_batch([], 1.0, 10.0) == []
+
+
+def test_batch_tables_pad_inertly():
+    funcs = [
+        single_jump(2.0, 1.0),
+        BVFunction1D(
+            pieces=(
+                affine_ramp(0.0, 1.0, 1.0),
+                polynomial_piece(2.0, 3.0, (0.0, 1.0, -3.0, 2.0)),
+                JumpPiece(location=4.0, height=-1.0),
+            )
+        ),
+        BVFunction1D(pieces=(), base_value=1.0),
+    ]
+    B = _Batch(funcs)
+    assert (B.S, B.Kj, B.Ks, B.Kc, B.Kp) == (3, 1, 1, 0, 1)
+    assert B.origin.tolist() == [1.0, 0.0, 0.0]
+    assert B.jloc.tolist() == [[0.0], [4.0], [math.inf]]
+    assert B.jh.tolist() == [[2.0], [-1.0], [0.0]]
+    assert B.scode.dtype == np.int8 and B.svar.dtype == bool
+    assert B.sb.tolist() == [[0.0], [1.0], [1.0]]
+    assert B.srise.tolist() == [[0.0], [1.0], [0.0]]
+    assert B.ca.shape == B.cb.shape == B.crise.shape == (3, 0)
+    assert B.pcoef.tolist()[1] == [[0.0, 1.0, -3.0, 2.0]]
+    assert B.pder.tolist()[1] == [[1.0, -6.0, 6.0, 0.0]]
+    assert not B.pcoef[[0, 2]].any() and not B.pder[[0, 2]].any()
+    assert B.pvar.tolist() == [[False], [True], [False]]
+    assert np.isnan(B.pcrit[[0, 2]]).all() and np.isnan(B.pdcrit[[0, 2]]).all()
+    assert np.isinf(B.feat[0, 1:]).all() and np.isinf(B.feat[2]).all()
 
 
 def test_ramp_exceedance_measure_small_lambda_band():

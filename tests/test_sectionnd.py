@@ -296,6 +296,12 @@ def test_f_nd_records_value_errors_and_propagates_others(monkeypatch):
         F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
 
 
+def test_f_nd_rejects_bad_lambda():
+    field = BallIndicatorField(dimension=2, center=(0.0, 0.0), radius=1.0, height=1.0)
+    with pytest.raises(ValueError):
+        F_nd_estimate(field, 1.0, -1.0, samples=6, seed=3)
+
+
 def test_f_nd_translation_invariance():
     lam = 1e4
     a = F_nd_estimate(
