@@ -389,6 +389,7 @@ def _run_section_nd(cfg: dict, out_dir: Path):
         "pass": abs(est.mean - target) <= gate,
         "failures": est.failures,
         "flagged": est.flagged,
+        "failure_reasons": list(est.failure_reasons),
     }
     if which is not None:
         results["variation_check"] = which

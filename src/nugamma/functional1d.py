@@ -25,6 +25,12 @@ All bounds here err on the safe side: upper pair bounds only ever
 over-estimate and lower pair bounds under-estimate, so the returned
 interval is a true enclosure regardless of whether the width target was
 reached (the ``tol_met`` flag records that separately).
+
+A function made of jumps only (every line section of a set's indicator,
+for instance) skips the refinement: its exceedance set is a union of
+trapezoid slabs, one per run of consecutive jumps, whose kernel mass has
+a closed form.  :func:`_jump_sections_F` evaluates it with outward
+rounding, so those enclosures are about 1e-14 wide relative to the value.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +88,15 @@ _WAVE_CAP = 3_000_000
 _TNUDGE = 5e-15
 
 _LOG3 = math.log(3.0)
+
+_EPS = float(np.finfo(float).eps)
+
+#: Float error of one ramp mass in :func:`_ramp_mass`, in units of eps
+#: times the sum of its terms' magnitudes.  Each term takes a power (at
+#: most 4 ulp in numpy's SIMD kernels), a product and a division; the
+#: two additions add two rounding steps.  That is about 7 eps; 16 leaves
+#: a margin.
+_RAMP_ERR = 16.0
 
 
 class ZeroVariationError(ValueError):
@@ -209,6 +225,7 @@ class _Batch:
         cantor: list[list[CantorPiece]] = []
         poly: list[list[SmoothPiece]] = []
         feats: list[list[float]] = []
+        jump_only: list[bool] = []
         hulls = []
         for u in funcs:
             js, sh, ca, po = [], [], [], []
@@ -228,11 +245,15 @@ class _Batch:
                     a, b = p.support
                     ft.extend(a + c * (b - a) for c in p.profile.crit)
             jumps.append(js)
+            jump_only.append(len(js) == len(u.pieces))
             shaped.append(sh)
             cantor.append(ca)
             poly.append(po)
             feats.append(ft)
             hulls.append(u.derivative_support() or (0.0, 0.0))
+        # Sections whose pieces are all jumps (constant ones included)
+        # are evaluated in closed form from jloc/jh instead of refined.
+        self.jump_only = np.array(jump_only, dtype=bool)
         self.tv = np.array([u.total_variation for u in funcs], dtype=float)
         supp = np.array(hulls, dtype=float).reshape(-1, 2)
         self.origin = supp[:, 0]
@@ -505,11 +526,13 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 # ---------------------------------------------------------------------------
 
 
-def _split_wave(B, gamma, lam, tol_nu, max_depth):
-    """Run the refinement for all sections of a batch at once.
+def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
+    """Run the refinement for the sections ``rows`` of a batch at once.
 
-    Returns arrays (lo, slack, tol_met) per section, in kernel-measure
-    units: the certified enclosure is [lo, lo + slack].
+    Returns arrays (lo, slack, tol_met) over all sections of the batch,
+    in kernel-measure units: the certified enclosure of a refined section
+    is [lo, lo + slack].  Sections not in ``rows`` get no boxes and read
+    (0, 0, True).
     """
     S = B.S
     g = gamma
@@ -521,13 +544,13 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
     # Root boxes: beyond separation H nothing exceeds, and pairs moving u
     # must touch the derivative support.  H is padded a hair to absorb
     # rounding in the power.
-    H = (B.tv / lam) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
+    H = (B.tv[rows] / lam) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
     x0 = -H
-    x1 = B.supp_w.copy()
-    h0 = np.zeros(S)
+    x1 = B.supp_w[rows]
+    h0 = np.zeros(rows.size)
     h1 = H.copy()
-    sid = np.arange(S)
-    depth = np.zeros(S, dtype=np.int32)
+    sid = rows
+    depth = np.zeros(rows.size, dtype=np.int32)
 
     while x0.size:
         W = x0.size
@@ -618,6 +641,147 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth):
     return lo_acc, slack, tol_met
 
 
+# ---------------------------------------------------------------------------
+# Closed form for jump-only sections
+# ---------------------------------------------------------------------------
+
+
+def _widen(v, r):
+    """Outward float bracket of [v - r, v + r], clipped at 0 from below.
+
+    Where r is 0, v is exact and is returned as both ends.
+    """
+    lo = np.where(r > 0, np.maximum(np.nextafter(v - r, -np.inf), 0.0), v)
+    hi = np.where(r > 0, np.nextafter(v + r, np.inf), v)
+    return lo, hi
+
+
+def _gap(a, b):
+    """Bracket of the true distance between jumps stored at a >= b.
+
+    A stored location is the section's location minus its origin,
+    rounded, so it is off by at most u times its magnitude, and the
+    difference rounds once more; 4u (|a| + |b|) covers all three.  A gap
+    to an end sentinel or a padded slot is +inf.
+    """
+    with np.errstate(invalid="ignore"):
+        e = a - b
+    fin = np.isfinite(e)
+    e = np.where(fin, e, np.inf)
+    r = np.where(fin, 2.0 * _EPS * (np.abs(a) + np.abs(b)), 0.0)
+    return _widen(e, r)
+
+
+def _cutoff(d_lo, d_hi, lam, g):
+    """Bracket of the cutoff (d / lam)^(1/(1+g)) for d in [d_lo, d_hi].
+
+    One ulp around the quotient covers its rounding, subnormal results
+    included.  The power is within 4 ulp, and an exponent a off by the
+    relative error da moves the result by da |ln c| relative; 8 eps plus
+    twice that covers both twice over.
+    """
+    a = 1.0 / (1.0 + g)
+    da = float(abs(1 / (1 + Fraction(g)) - Fraction(a))) / a
+    c_lo = np.nextafter(d_lo / lam, 0.0) ** a
+    c_hi = np.nextafter(d_hi / lam, np.inf) ** a
+
+    def rel(c):
+        return 8.0 * _EPS + 2.0 * da * np.abs(np.log(np.where(c > 0, c, 1.0)))
+
+    return (
+        np.nextafter(c_lo * (1.0 - rel(c_lo)), 0.0),
+        np.nextafter(c_hi * (1.0 + rel(c_hi)), np.inf),
+    )
+
+
+def _ramp_mass(e, c, g):
+    """Kernel mass below the cutoff c of a unit ramp starting at e.
+
+    Returns Q(e, c) = integral of h^(g-1) (h - e) over h in [e, c], which
+    is c^(1+g)/(1+g) - e c^g/g + e^(1+g)/(g(1+g)) for e < c and 0
+    otherwise, and a bound on its float error.  Q falls as e grows and
+    rises with c.
+    """
+    on = e < c
+    e = np.where(on, e, 0.0)
+    c = np.where(on, c, 0.0)
+    cg = c**g
+    t1 = c * cg / (1.0 + g)
+    t2 = e * cg / g
+    t3 = e * e**g / (g * (1.0 + g))
+    return t1 - t2 + t3, _RAMP_ERR * _EPS * (t1 + t2 + t3)
+
+
+def _jump_sections_F(B: _Batch, rows, gamma, lam):
+    """Certified enclosures (lo, hi) of F for the jump-only sections ``rows``.
+
+    Sort a section's jumps to p_1 <= ... <= p_K, with sentinels
+    p_0 = -inf and p_(K+1) = +inf, and let D_ij = J_i + ... + J_j.  The
+    pairs that straddle exactly the jumps i..j move by D_ij, so they
+    exceed the threshold iff h < c_ij = (|D_ij| / lam)^(1/(1+gamma)).  At
+    separation h their x-length is the overlap of [p_(i-1), p_i) with
+    [p_j - h, p_(j+1) - h): a trapezoid in h, made of four unit ramps
+    that start at the gaps p_j - p_i, p_j - p_(i-1), p_(j+1) - p_i and
+    p_(j+1) - p_(i-1) with signs +, -, -, +.  So nu is the sum over
+    i <= j of the four signed :func:`_ramp_mass` terms at c_ij, and
+    F = 2 lam nu.
+
+    Certification.  The mass of one (i, j) slab rises with c (its
+    derivative is c^(g-1) times the trapezoid's length at c), and each
+    ramp mass falls as its gap grows.  So the lower end takes the low
+    cutoff and, term by term, the gap end that lowers the signed term;
+    the upper end takes the reverse.  Gaps and cutoffs come as outward
+    brackets (:func:`_gap`, :func:`_cutoff`), the float error of every
+    term and of the sums is added outward, and the ends are rounded
+    outward.  Padded slots sit at +inf and add exactly 0, so a section
+    with no jumps gives exactly [0, 0]; any other gets a positive width.
+    """
+    g = gamma
+    loc = B.jloc[rows]
+    order = np.argsort(loc, axis=1, kind="stable")
+    p = np.take_along_axis(loc, order, axis=1)
+    J = np.take_along_axis(B.jh[rows], order, axis=1)
+    R, K = p.shape
+    end = np.full((R, 1), np.inf)
+    P = np.concatenate([-end, p, end], axis=1)  # P[:, k + 1] = p_k
+    lo, hi, mag_lo, mag_hi = np.zeros((4, R))
+    for i in range(K):
+        j = np.arange(i, K)
+        # Partial sums J_i + ... + J_j, each off by at most (j - i) u times
+        # the sum of the magnitudes.
+        D = np.abs(np.cumsum(J[:, i:], axis=1))
+        dD = 2.0 * _EPS * (j - i) * np.cumsum(np.abs(J[:, i:]), axis=1)
+        c_lo, c_hi = _cutoff(*_widen(D, dD), lam, g)
+        ramps = (
+            (1.0, p[:, j], p[:, i, None]),
+            (-1.0, p[:, j], P[:, i, None]),
+            (-1.0, P[:, j + 2], p[:, i, None]),
+            (1.0, P[:, j + 2], P[:, i, None]),
+        )
+        for k, (sign, a, b) in enumerate(ramps):
+            e_lo, e_hi = _gap(a, b)
+            if k == 0:
+                # A jump's distance to itself (j = i) is exactly 0.
+                e_hi[:, 0] = e_lo[:, 0]
+            if sign < 0:
+                e_lo, e_hi = e_hi, e_lo
+            q_lo, err_lo = _ramp_mass(e_hi, c_lo, g)
+            q_hi, err_hi = _ramp_mass(e_lo, c_hi, g)
+            lo += (sign * q_lo - err_lo).sum(axis=1)
+            hi += (sign * q_hi + err_hi).sum(axis=1)
+            mag_lo += (np.abs(q_lo) + err_lo).sum(axis=1)
+            mag_hi += (np.abs(q_hi) + err_hi).sum(axis=1)
+    # Each end sums n = 2K(K+1) terms, one rounding each on the way in and
+    # at most n - 1 more in the sum, so it errs by less than n u = K(K+1)
+    # eps times the sum of the terms' magnitudes.
+    n_eps = K * (K + 1) * _EPS
+    scale = 2.0 * lam
+    F_lo = np.nextafter(scale * np.nextafter(lo - n_eps * mag_lo, -np.inf), -np.inf)
+    F_hi = np.nextafter(scale * np.nextafter(hi + n_eps * mag_hi, np.inf), np.inf)
+    moved = mag_hi > 0
+    return np.where(moved, np.maximum(F_lo, 0.0), 0.0), np.where(moved, F_hi, 0.0)
+
+
 def f_enclosures_batch(
     funcs: Sequence[BVFunction1D],
     gamma,
@@ -628,9 +792,10 @@ def f_enclosures_batch(
     """Enclosures of the functional for many functions in one refinement.
 
     All functions share gamma, lam, and the width target semantics of
-    :class:`ExceedanceQuery`, which validates them.  A constant function
-    refines like any other: its root box has zero mass and is classified
-    outside at once, so its enclosure is exactly [0, 0].
+    :class:`ExceedanceQuery`, which validates them.  A function made of
+    jumps only, constant ones included, is evaluated in closed form
+    (:func:`_jump_sections_F`); a constant one gives exactly [0, 0].
+    Every other function goes through the branch-and-bound refinement.
     """
     q = ExceedanceQuery(gamma, lam, tol, max_depth)
     batch = _Batch(funcs)
@@ -638,12 +803,17 @@ def f_enclosures_batch(
     if q.tol is None:
         tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * batch.tv / (1.0 + q.gamma))
     else:
-        tol_f = q.tol
-    lo, slack, met = _split_wave(batch, q.gamma, q.lam, tol_f / scale, q.max_depth)
-    return [
-        Enclosure(scale * lo[k], scale * (lo[k] + slack[k]), bool(met[k]))
-        for k in range(batch.S)
-    ]
+        tol_f = np.full(batch.S, q.tol)
+    exact = np.nonzero(batch.jump_only)[0]
+    refine = np.nonzero(~batch.jump_only)[0]
+    lo, slack, met = _split_wave(
+        batch, q.gamma, q.lam, tol_f / scale, q.max_depth, refine
+    )
+    F_lo = scale * lo
+    F_hi = scale * (lo + slack)
+    F_lo[exact], F_hi[exact] = _jump_sections_F(batch, exact, q.gamma, q.lam)
+    met[exact] = F_hi[exact] - F_lo[exact] <= tol_f[exact]
+    return [Enclosure(F_lo[k], F_hi[k], bool(met[k])) for k in range(batch.S)]
 
 
 def measure_exceedance(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:

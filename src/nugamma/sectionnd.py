@@ -14,6 +14,11 @@ polynomial field (polynomial in the squared normalized radius) sections
 into one polynomial piece, and a clamped affine band sections into one
 affine ramp.  Sampling uses a counter-based generator and a deterministic
 orthonormal frame for each direction, so fixed seeds reproduce bitwise.
+
+Ball sections are jumps only, so the 1D engine evaluates them in closed
+form: their enclosures are a few times 1e-14 wide relative to the value,
+and the systematic term of a ball estimate is at rounding level.  The
+other fields' sections go through the branch-and-bound refinement.
 """
 
 from __future__ import annotations
@@ -350,7 +355,9 @@ class MCEstimate:
     ``stderr`` is the sample standard deviation over sqrt(samples);
     ``systematic`` propagates the 1D enclosure half-widths, which the
     midpoint estimator cannot see statistically.  ``flagged`` marks runs
-    where more than 0.1 percent of the sections failed to evaluate.
+    where more than 0.1 percent of the sections failed to evaluate, and
+    ``failure_reasons`` holds one ``"section {i}: {message}"`` per failed
+    section, in section order.
     """
 
     mean: float
@@ -360,6 +367,7 @@ class MCEstimate:
     systematic: float = 0.0
     failures: int = 0
     flagged: bool = False
+    failure_reasons: tuple[str, ...] = ()
 
 
 def _frame_perp(sigma: np.ndarray) -> np.ndarray:
@@ -454,6 +462,7 @@ def F_nd_estimate(
     mids = np.zeros(samples)
     hws = np.zeros(samples)
     ok = np.ones(samples, dtype=bool)
+    reasons = []
     args = (q.gamma, q.lam, q.tol, q.max_depth)
     for i in range(0, samples, _SECTION_CHUNK):
         part = secs[i : i + _SECTION_CHUNK]
@@ -461,11 +470,12 @@ def F_nd_estimate(
             encs = f_enclosures_batch(part, *args)
         except ValueError:
             encs = []
-            for u in part:
+            for kk, u in enumerate(part):
                 try:
                     encs.append(f_enclosures_batch([u], *args)[0])
-                except ValueError:
+                except ValueError as exc:
                     encs.append(None)
+                    reasons.append(f"section {i + kk}: {exc}")
         for kk, enc in enumerate(encs):
             if enc is None:
                 ok[i + kk] = False
@@ -489,6 +499,7 @@ def F_nd_estimate(
         systematic=systematic,
         failures=n_fail,
         flagged=n_fail > 0.001 * samples,
+        failure_reasons=tuple(reasons),
     )
 
 

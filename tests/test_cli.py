@@ -260,6 +260,7 @@ def test_rerun_from_echoed_config_is_bit_identical(tmp_path):
     )
     assert main(["--config", cfg_a]) == 0
     ra = json.loads((out_a / "report.json").read_text())
+    assert ra["results"]["failure_reasons"] == []
 
     # The report echoes the config; feeding that echo back must
     # reproduce every numeric output bit for bit.

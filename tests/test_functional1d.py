@@ -1,6 +1,7 @@
 """Tests for the certified branch-and-bound functional evaluation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from nugamma.bvmodel import (
     single_jump,
     smoothstep_piece,
 )
+from nugamma.asymptotics import gadget_jump_measure
 from nugamma.functional1d import (
     BoxVerdict,
     _Batch,
+    _split_wave,
     ExceedanceQuery,
     ZeroVariationError,
     classify_box,
@@ -30,7 +33,7 @@ from nugamma.functional1d import (
     pair_increment_bounds,
     truncation_radius,
 )
-from nugamma.numeasure import PlaneBox
+from nugamma.numeasure import Enclosure, PlaneBox
 
 
 def test_truncation_radius_frozen():
@@ -91,8 +94,8 @@ def test_constant_function_evaluates_to_zero():
 
 
 def test_constant_sections_share_the_refinement():
-    # A constant section's root box has zero mass and is classified
-    # outside in the first wave; it must not disturb its neighbours.
+    # A constant section has no jumps, so the closed form gives it
+    # exactly [0, 0]; sharing a batch must not disturb its neighbours.
     jump = single_jump(1.0, 0.3)
     alone = f_enclosures_batch([jump], 1.0, 10.0, 1e-3)[0]
     flat = BVFunction1D(pieces=(), base_value=3.0)
@@ -117,6 +120,7 @@ def test_batch_tables_pad_inertly():
     B = _Batch(funcs)
     assert (B.S, B.Kj, B.Ks, B.Kc, B.Kp) == (3, 1, 1, 0, 1)
     assert B.origin.tolist() == [1.0, 0.0, 0.0]
+    assert B.jump_only.tolist() == [True, False, True]
     assert B.jloc.tolist() == [[0.0], [4.0], [math.inf]]
     assert B.jh.tolist() == [[2.0], [-1.0], [0.0]]
     assert B.scode.dtype == np.int8 and B.svar.dtype == bool
@@ -329,3 +333,117 @@ def test_opposite_jumps_closed_form(sign, d, gamma):
     exact = _opposite_jumps_F(d, gamma, lam)
     assert enc.lo <= exact <= enc.hi
     assert enc.tol_met and enc.width <= tol
+    # The same input through the branch-and-bound, where pairs straddling
+    # both jumps resolve only if their increments cancel.
+    (ref,) = _refined([u], gamma, lam, tol, max_depth=40)
+    assert ref.lo <= exact <= ref.hi
+    assert ref.tol_met and ref.width <= tol
+
+
+def _refined(funcs, gamma, lam, tol, max_depth):
+    """Branch-and-bound enclosures of every function, jump-only ones too."""
+    B = _Batch(funcs)
+    scale = 2.0 * lam
+    lo, slack, met = _split_wave(B, gamma, lam, tol / scale, max_depth, np.arange(B.S))
+    return [
+        Enclosure(scale * lo[k], scale * (lo[k] + slack[k]), bool(met[k]))
+        for k in range(B.S)
+    ]
+
+
+def _jump_family(rng, K):
+    """K jumps at random; for K > 1 the first two share a location and the
+    last two heights nearly cancel."""
+    loc = rng.uniform(-0.3, 0.3, K)
+    h = rng.choice([-1.0, 1.0], K) * rng.uniform(0.2, 2.0, K)
+    if K > 1:
+        loc[1] = loc[0]
+        h[-1] = -h[-2] * (1.0 + 1e-9)
+    return BVFunction1D(tuple(JumpPiece(float(a), float(b)) for a, b in zip(loc, h)))
+
+
+def _jump_F_decimal(u, gamma, lam):
+    """F of a jump-only function in 50-digit decimal arithmetic.
+
+    Sums, over runs i..j of consecutive jumps, the kernel mass below the
+    run's cutoff of the trapezoid of pairs straddling exactly that run,
+    as four signed ramps.  Floats convert to decimals exactly, so only
+    the cutoff powers round, far below float precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, lam = Decimal(gamma), Decimal(lam)
+        jumps = sorted(u.pieces, key=lambda p: p.location)
+        p = [Decimal(j.location) for j in jumps]
+        J = [Decimal(j.height) for j in jumps]
+        K = len(p)
+
+        def Q(e, c):
+            if e is None or e >= c:
+                return Decimal(0)
+            return c ** (1 + g) / (1 + g) - e * c**g / g + e ** (1 + g) / (g * (1 + g))
+
+        def gap(a, b):
+            return None if a is None or b is None else a - b
+
+        nu = Decimal(0)
+        for i in range(K):
+            left = p[i - 1] if i > 0 else None
+            for j in range(i, K):
+                right = p[j + 1] if j + 1 < K else None
+                c = (abs(sum(J[i : j + 1])) / lam) ** (1 / (1 + g))
+                nu += Q(p[j] - p[i], c) - Q(gap(p[j], left), c)
+                nu += Q(gap(right, left), c) - Q(gap(right, p[i]), c)
+        return 2 * lam * nu
+
+
+@pytest.mark.parametrize("lam", [10.0, 1e3])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_jump_closed_form_overlaps_refinement(gamma, lam):
+    # Three evaluators of the same jump families: the float closed form
+    # of the jump-only path must contain the decimal one and overlap the
+    # branch-and-bound.
+    rng = np.random.default_rng(2024)
+    funcs = [_jump_family(rng, K) for K in range(1, 7) for _ in range(2)]
+    exact = f_enclosures_batch(funcs, gamma, lam, tol=1e-2)
+    refined = _refined(funcs, gamma, lam, 1e-2, max_depth=24)
+    for u, e, r in zip(funcs, exact, refined):
+        assert Decimal(e.lo) <= _jump_F_decimal(u, gamma, lam) <= Decimal(e.hi)
+        assert e.overlaps(r)
+        # Near-cancelling pairs lose relative accuracy, not absolute.
+        assert e.tol_met and 0.0 < e.width <= 1e-12 * u.total_variation
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_jump_closed_form_contains_known_values(gamma):
+    lam = 1e2
+    rng = np.random.default_rng(5)
+    for height, x in zip(rng.uniform(-3.0, 3.0, 4), rng.uniform(-1e6, 1e6, 4)):
+        (enc,) = f_enclosures_batch([single_jump(float(height), float(x))], gamma, lam)
+        assert enc.lo <= closed_form_jump_F(float(height), gamma) <= enc.hi
+    # Jumps far enough apart that only single-jump pairs exceed, with
+    # heights chosen so that each cutoff equals its delta.
+    deltas = (0.5, 1.0, 2.0)
+    u = BVFunction1D(
+        tuple(
+            JumpPiece(10.0 * k, (-1.0) ** k * lam * d ** (1.0 + gamma))
+            for k, d in enumerate(deltas)
+        )
+    )
+    (enc,) = f_enclosures_batch([u], gamma, lam)
+    assert enc.lo <= 2.0 * lam * gadget_jump_measure(deltas, gamma) <= enc.hi
+    # A close opposite pair 2000 away from the section's first jump: the
+    # shift to the origin rounds each stored location by up to an ulp of
+    # 2000, which moves the pair's gap by a relative 1e-11 or so.
+    for x, d in zip(rng.uniform(999.0, 1001.0, 4), rng.uniform(0.005, 0.02, 4)):
+        u = BVFunction1D(
+            (JumpPiece(-1000.0, 0.5), JumpPiece(x, 1.0), JumpPiece(x + d, -1.0))
+        )
+        (enc,) = f_enclosures_batch([u], gamma, lam)
+        assert Decimal(enc.lo) <= _jump_F_decimal(u, gamma, lam) <= Decimal(enc.hi)
+    # Far out on the line, where the gap 0.0625 is still exact in float.
+    d = 0.0625
+    u = BVFunction1D((JumpPiece(1e10, 1.0), JumpPiece(1e10 + d, -1.0)))
+    (enc,) = f_enclosures_batch([u], gamma, lam)
+    assert enc.lo <= _opposite_jumps_F(d, gamma, lam) <= enc.hi
+    assert enc.tol_met and 0.0 < enc.width <= 1e-12

@@ -287,6 +287,7 @@ def test_f_nd_records_value_errors_and_propagates_others(monkeypatch):
     est = F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
     assert calls == [6, 1, 1, 1, 1, 1, 1]
     assert est.failures == 1 and est.samples == 5
+    assert est.failure_reasons == ("section 0: engine failure",)
 
     def broken(*args, **kwargs):
         raise TypeError("programming error")
