@@ -51,7 +51,7 @@ def _coerce_parts(parts) -> VariationTriple:
     if isinstance(parts, VariationTriple):
         return parts
     a, j, c = parts
-    return VariationTriple(float(a), float(j), float(c))
+    return VariationTriple(a, j, c)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def limit_estimate(sweep: SweepResult, tail_fraction: float = 0.25) -> tuple[flo
     tail = _tail(sweep, tail_fraction)
     est = float(np.mean([e.mid for e in tail]))
     spread = max(e.hi for e in tail) - min(e.lo for e in tail)
-    return est, float(spread)
+    return est, spread
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,10 @@ def verify_sweep(
     tail_lo = min(e.lo for e in tail)
     tail_hi = max(e.hi for e in tail)
     est, spread = limit_estimate(sweep, tail_fraction)
-    # Enclosure ends can be numpy scalars; coerce so the flags are plain
-    # bools rather than numpy ones.
-    pass_liminf = bool(tail_lo >= rhs * (1.0 - slack))
+    pass_liminf = tail_lo >= rhs * (1.0 - slack)
     pass_sbv = None
     if target is not None:
-        pass_sbv = bool(abs(est - target) <= slack * target)
+        pass_sbv = abs(est - target) <= slack * target
     return LimitVerdict(
         rhs, target, tail_lo, tail_hi, est, spread, slack, pass_liminf, pass_sbv
     )

@@ -11,16 +11,16 @@ pieces, each constant outside a bounded interval:
 * ``CantorPiece``, a scaled copy of the Cantor staircase: monotone,
   continuous, and with zero classical derivative almost everywhere.
 
-Keeping the catalog closed is what makes oscillation bounds, monotone
-segmentation and variation masses exactly computable, which the box
-classification in :mod:`nugamma.functional1d` relies on.  All objects are
-immutable, hashable where practical, and safe to share between workers.
+Keeping the catalog closed is what makes oscillations, directions and
+variation masses exactly computable, which the box classification in
+:mod:`nugamma.functional1d` relies on.  All objects are immutable and
+hashable where practical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -311,17 +311,9 @@ class SmoothPiece:
         """Piece value relative to its value far to the left."""
         return self.profile.value0(self._t(x))
 
-    def tspan(self, lo: float, hi: float) -> tuple[float, float]:
-        a, b = self.support
-        w = b - a
-        return (
-            min(max((lo - a) / w, 0.0), 1.0),
-            min(max((hi - a) / w, 0.0), 1.0),
-        )
-
     def osc_on(self, lo: float, hi: float) -> float:
-        """Exact sup - inf of the piece over [lo, hi]."""
-        t0, t1 = self.tspan(lo, hi)
+        """Exact sup - inf of the piece over [lo, hi]; a scalar test oracle."""
+        t0, t1 = self._t(lo), self._t(hi)
         if t1 <= t0:
             return 0.0
         p = self.profile
@@ -330,21 +322,6 @@ class SmoothPiece:
         cand = [float(p.unit(t0)), float(p.unit(t1))]
         cand.extend(float(p.unit(c)) for c in p.crit if t0 < c < t1)
         return max(cand) - min(cand)
-
-    def monotone_sign_on(self, lo: float, hi: float):
-        """+1, -1 or 0 when monotone (or constant) on [lo, hi]; None otherwise."""
-        t0, t1 = self.tspan(lo, hi)
-        if t1 <= t0:
-            return 0
-        p = self.profile
-        if isinstance(p, ShapedRamp):
-            return 1 if p.rise > 0 else -1
-        if any(t0 < c < t1 for c in p.crit):
-            return None
-        diff = float(p.unit(t1) - p.unit(t0))
-        if diff == 0.0:
-            return 0
-        return 1 if diff > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -365,51 +342,37 @@ class JumpPiece:
         return self.height if x > self.location else 0.0
 
     def osc_on(self, lo: float, hi: float) -> float:
+        """Exact sup - inf of the piece over [lo, hi]; a scalar test oracle."""
         # Right-continuity: a jump exactly at lo is already absorbed in
         # every value on [lo, hi], so only locations in (lo, hi] count.
         return abs(self.height) if lo < self.location <= hi else 0.0
 
-    def monotone_sign_on(self, lo: float, hi: float):
-        if lo < self.location <= hi:
-            return 1 if self.height > 0 else -1
-        return 0
-
 
 @dataclass(frozen=True)
 class CantorPiece:
-    """Cantor staircase scaled onto ``support``, contributing |rise| of
-    purely Cantor variation with the sign given by ``orientation``."""
+    """Cantor staircase scaled onto ``support`` and rising by ``rise``: the
+    sign of ``rise`` is its direction, ``|rise|`` its Cantor variation."""
 
     support: Interval
     rise: float
-    orientation: int
 
     def __post_init__(self):
         if not (math.isfinite(self.rise) and self.rise != 0.0):
             raise ValueError("cantor rise must be finite and nonzero")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @property
-    def signed_rise(self) -> float:
-        return self.orientation * abs(self.rise)
 
     def _t(self, x: float) -> float:
         a, b = self.support
         return min(max((x - a) / (b - a), 0.0), 1.0)
 
     def increment(self, x: float) -> float:
-        return self.signed_rise * cantor_eval(self._t(x))
+        return self.rise * cantor_eval(self._t(x))
 
     def osc_on(self, lo: float, hi: float) -> float:
+        """Exact sup - inf of the piece over [lo, hi]; a scalar test oracle."""
         t0, t1 = self._t(lo), self._t(hi)
         if t1 <= t0:
             return 0.0
         return abs(self.rise) * (cantor_eval(t1) - cantor_eval(t0))
-
-    def monotone_sign_on(self, lo: float, hi: float):
-        t0, t1 = self._t(lo), self._t(hi)
-        return self.orientation if t1 > t0 else 0
 
 
 Piece = Union[SmoothPiece, JumpPiece, CantorPiece]
@@ -455,10 +418,15 @@ def polynomial_piece(a: float, b: float, coeffs: Sequence[float]) -> SmoothPiece
 
 
 def cantor_piece(a: float, b: float, rise: float, orientation: int | None = None) -> CantorPiece:
+    """Cantor staircase on [a, b] rising by ``rise``; an ``orientation`` of
+    +1 or -1, when given, sets the direction and ``|rise|`` the size."""
     a, b = _check_interval((a, b))
-    if orientation is None:
-        orientation = 1 if rise > 0 else -1
-    return CantorPiece((a, b), float(rise), int(orientation))
+    rise = float(rise)
+    if orientation is not None:
+        if orientation not in (-1, 1):
+            raise ValueError("orientation must be +1 or -1")
+        rise = orientation * abs(rise)
+    return CantorPiece((a, b), rise)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +436,16 @@ def cantor_piece(a: float, b: float, rise: float, orientation: int | None = None
 
 @dataclass(frozen=True)
 class VariationTriple:
-    """Masses of the absolutely continuous, jump and Cantor derivative parts."""
+    """Masses of the absolutely continuous, jump and Cantor derivative parts,
+    held as Python floats."""
 
     a: float
     j: float
     c: float
+
+    def __post_init__(self):
+        for name in ("a", "j", "c"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def total(self) -> float:
@@ -546,25 +519,14 @@ class BVFunction1D:
             return None
         return (lo, hi)
 
-    def oscillation_bound(self, interval: Interval) -> tuple[bool, float]:
-        """Certified bound on sup |u(y) - u(x)| over pairs in the interval.
-
-        Returns ``(lower_exact, osc)``; ``lower_exact`` is True when the
-        bound is attained, which holds when at most one piece moves on the
-        interval or when all moving pieces are monotone in the same
-        direction there.
-        """
+    def oscillation_bound(self, interval: Interval) -> float:
+        """Sum of the pieces' exact oscillations on the interval, a bound on
+        sup |u(y) - u(x)| over its pairs.  A scalar test oracle: the engine
+        in :mod:`nugamma.functional1d` does not call it."""
         lo, hi = float(interval[0]), float(interval[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"interval must be finite with lo <= hi, got {interval}")
-        oscs = [p.osc_on(lo, hi) for p in self.pieces]
-        osc = float(sum(oscs))
-        moving = [p for p, o in zip(self.pieces, oscs) if o > 0.0]
-        if len(moving) <= 1:
-            return True, osc
-        signs = {p.monotone_sign_on(lo, hi) for p in moving}
-        exact = None not in signs and len(signs - {0}) <= 1
-        return exact, osc
+        return float(sum(p.osc_on(lo, hi) for p in self.pieces))
 
     # -- exact transforms ---------------------------------------------------
 
@@ -572,57 +534,40 @@ class BVFunction1D:
         """The function c * u."""
         if not math.isfinite(c):
             raise ValueError("scale factor must be finite")
-        if c == 0.0:
-            return BVFunction1D((), 0.0)
-        out: list[Piece] = []
-        for p in self.pieces:
-            if isinstance(p, JumpPiece):
-                out.append(JumpPiece(p.location, c * p.height))
-            elif isinstance(p, CantorPiece):
-                sr = c * p.signed_rise
-                out.append(CantorPiece(p.support, abs(sr), 1 if sr > 0 else -1))
-            else:
-                prof = p.profile
-                if isinstance(prof, ShapedRamp):
-                    nprof: Profile = ShapedRamp(prof.shape, c * prof.rise)
-                else:
-                    nprof = PolynomialProfile(
-                        tuple(c * ck for ck in prof.coeffs), prof.crit, prof.dcrit
-                    )
-                out.append(SmoothPiece(p.support, nprof, abs(c) * p.exact_tv))
-        return BVFunction1D(tuple(out), c * self.base_value)
+        return self._mapped(c, 1.0, 0.0)
 
     def dilated(self, s: float) -> "BVFunction1D":
         """The function x -> u(x / s) for s > 0."""
         if not (s > 0 and math.isfinite(s)):
             raise ValueError("dilation factor must be positive and finite")
-        out: list[Piece] = []
-        for p in self.pieces:
-            if isinstance(p, JumpPiece):
-                out.append(JumpPiece(s * p.location, p.height))
-            elif isinstance(p, CantorPiece):
-                sup = (s * p.support[0], s * p.support[1])
-                out.append(CantorPiece(sup, p.rise, p.orientation))
-            else:
-                sup = (s * p.support[0], s * p.support[1])
-                out.append(SmoothPiece(sup, p.profile, p.exact_tv))
-        return BVFunction1D(tuple(out), self.base_value)
+        return self._mapped(1.0, s, 0.0)
 
     def translated(self, dx: float) -> "BVFunction1D":
         """The function x -> u(x - dx)."""
         if not math.isfinite(dx):
             raise ValueError("translation must be finite")
+        return self._mapped(1.0, 1.0, dx)
+
+    def _mapped(self, c: float, s: float, dx: float) -> "BVFunction1D":
+        """The function x -> c * u((x - dx) / s), for s > 0."""
+        if c == 0.0:
+            return BVFunction1D((), 0.0)
         out: list[Piece] = []
         for p in self.pieces:
             if isinstance(p, JumpPiece):
-                out.append(JumpPiece(p.location + dx, p.height))
-            elif isinstance(p, CantorPiece):
-                sup = (p.support[0] + dx, p.support[1] + dx)
-                out.append(CantorPiece(sup, p.rise, p.orientation))
+                out.append(JumpPiece(s * p.location + dx, c * p.height))
+                continue
+            sup = (s * p.support[0] + dx, s * p.support[1] + dx)
+            if isinstance(p, CantorPiece):
+                out.append(CantorPiece(sup, c * p.rise))
+                continue
+            prof = p.profile
+            if isinstance(prof, ShapedRamp):
+                prof = replace(prof, rise=c * prof.rise)
             else:
-                sup = (p.support[0] + dx, p.support[1] + dx)
-                out.append(SmoothPiece(sup, p.profile, p.exact_tv))
-        return BVFunction1D(tuple(out), self.base_value)
+                prof = replace(prof, coeffs=tuple(c * ck for ck in prof.coeffs))
+            out.append(SmoothPiece(sup, prof, abs(c) * p.exact_tv))
+        return BVFunction1D(tuple(out), c * self.base_value)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ class _Batch:
 
         self.ca = _table(rows(cantor, lambda p: p.support[0]), 0.0)
         self.cb = _table(rows(cantor, lambda p: p.support[1]), 1.0)
-        self.crise = _table(rows(cantor, lambda p: p.signed_rise), 0.0)
+        self.crise = _table(rows(cantor, lambda p: p.rise), 0.0)
 
         profs = [p.profile for v in poly for p in v]
         D = max((len(q.coeffs) for q in profs), default=1)
@@ -813,7 +813,7 @@ def f_enclosures_batch(
     F_hi = scale * (lo + slack)
     F_lo[exact], F_hi[exact] = _jump_sections_F(batch, exact, q.gamma, q.lam)
     met[exact] = F_hi[exact] - F_lo[exact] <= tol_f[exact]
-    return [Enclosure(F_lo[k], F_hi[k], bool(met[k])) for k in range(batch.S)]
+    return [Enclosure(F_lo[k], F_hi[k], met[k]) for k in range(batch.S)]
 
 
 def measure_exceedance(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:

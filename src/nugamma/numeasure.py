@@ -59,7 +59,8 @@ class Enclosure:
     """Closed interval [lo, hi] certified to contain a quantity.
 
     ``tol_met`` records whether the producing computation reached its
-    requested width; an enclosure is valid either way.
+    requested width; an enclosure is valid either way.  The ends are held
+    as Python floats and the flag as a Python bool.
     """
 
     lo: float
@@ -67,6 +68,9 @@ class Enclosure:
     tol_met: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "tol_met", bool(self.tol_met))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
             raise ValueError(f"invalid enclosure [{self.lo}, {self.hi}]")
 

@@ -33,6 +33,7 @@ from .bvmodel import (
     BVFunction1D,
     JumpPiece,
     VariationTriple,
+    _real_roots_in_unit,
     affine_ramp,
     polynomial_piece,
 )
@@ -121,6 +122,17 @@ class SectionLine:
         object.__setattr__(self, "z", z)
 
 
+def _chord(center, radius: float, line: SectionLine) -> tuple[float, float, float]:
+    """Where a line meets a ball: the line coordinate ``t0`` closest to
+    the center, the squared distance ``d2`` of the line from the center,
+    and the squared half-chord ``radius^2 - d2``, negative for a miss."""
+    sigma = np.asarray(line.sigma)
+    rel = np.asarray(center) - np.asarray(line.z)
+    t0 = float(rel @ sigma)
+    d2 = float(rel @ rel) - t0 * t0
+    return t0, d2, radius * radius - d2
+
+
 # ---------------------------------------------------------------------------
 # Field catalog
 # ---------------------------------------------------------------------------
@@ -159,11 +171,7 @@ class BallIndicatorField:
         return VariationTriple(0.0, j * abs(self.height), 0.0)
 
     def extract_section(self, line: SectionLine) -> BVFunction1D:
-        sigma = np.asarray(line.sigma)
-        rel = np.asarray(self.center) - np.asarray(line.z)
-        t0 = float(rel @ sigma)
-        d2 = float(rel @ rel) - t0 * t0
-        gap2 = self.radius * self.radius - d2
+        t0, _, gap2 = _chord(self.center, self.radius, line)
         if gap2 <= 0.0:
             return BVFunction1D((), 0.0)
         s = math.sqrt(gap2)
@@ -220,12 +228,7 @@ class RadialPolynomialField:
         if len(self.coeffs) < 2:
             return VariationTriple(0.0, 0.0, 0.0)
         der = npoly.polyder(self.coeffs)
-        cuts = [0.0]
-        for r in npoly.polyroots(der):
-            if abs(r.imag) < 1e-9 and 1e-12 < r.real < 1.0 - 1e-12:
-                cuts.append(float(r.real))
-        cuts.append(1.0)
-        cuts = sorted(set(cuts))
+        cuts = (0.0, *_real_roots_in_unit(der), 1.0)
         e = (self.dimension - 1) / 2.0
         total = 0.0
         for q0, q1 in zip(cuts, cuts[1:]):
@@ -238,11 +241,7 @@ class RadialPolynomialField:
         return VariationTriple(a, 0.0, 0.0)
 
     def extract_section(self, line: SectionLine) -> BVFunction1D:
-        sigma = np.asarray(line.sigma)
-        rel = np.asarray(self.center) - np.asarray(line.z)
-        t0 = float(rel @ sigma)
-        d2 = float(rel @ rel) - t0 * t0
-        gap2 = self.radius * self.radius - d2
+        t0, d2, gap2 = _chord(self.center, self.radius, line)
         base = self.outside_value
         if gap2 <= (1e-12 * self.radius) ** 2:
             return BVFunction1D((), base)
@@ -437,6 +436,12 @@ def _mc_wrap(vals: np.ndarray, factor: float, seed: int, **extra) -> MCEstimate:
     return MCEstimate(mean, stderr, n, seed, **extra)
 
 
+def _line_set_measure(field: FieldND) -> float:
+    """Measure of the sampled lines: sphere area times offset-disk volume."""
+    k = field.dimension - 1
+    return sphere_area(k) * unit_ball_volume(k) * field.section_bound_radius**k
+
+
 def F_nd_estimate(
     field: FieldND,
     gamma,
@@ -484,13 +489,7 @@ def F_nd_estimate(
                 hws[i + kk] = 0.5 * enc.width
     n_used = int(ok.sum())
     n_fail = samples - n_used
-    N = field.dimension
-    factor = (
-        sphere_area(N - 1)
-        * unit_ball_volume(N - 1)
-        * field.section_bound_radius ** (N - 1)
-        / c_n_constant(1)
-    )
+    factor = _line_set_measure(field) / c_n_constant(1)
     systematic = factor * float(hws[ok].mean()) if n_used else 0.0
     return _mc_wrap(
         mids[ok],
@@ -521,13 +520,7 @@ def sectioning_variation_check(
     vals = np.array(
         [getattr(u.variation_decomposition(), which) for u in secs], dtype=float
     )
-    N = field.dimension
-    factor = (
-        sphere_area(N - 1)
-        * unit_ball_volume(N - 1)
-        * field.section_bound_radius ** (N - 1)
-    )
-    return _mc_wrap(vals, factor, seed)
+    return _mc_wrap(vals, _line_set_measure(field), seed)
 
 
 def variation_check_target(field: FieldND, which: str) -> float:

@@ -24,7 +24,6 @@ from nugamma.bvmodel import (
     JumpPiece,
     VariationTriple,
     affine_ramp,
-    cantor_eval,
     cantor_staircase,
     single_jump,
 )
@@ -138,29 +137,12 @@ def test_lambda_sweep_rejects_bad_arguments(bad):
         lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3, **bad)
 
 
-def test_cantor_sweep_matches_monte_carlo():
-    # At gamma 1 the kernel weight is 1, so F = 2 lam |R| P(exceed) for
-    # pairs drawn uniformly on R = [-H, 1] x [0, H] with H = lam^(-1/2):
-    # no pair farther apart moves the unit staircase by more than
-    # lam h^2, and pairs outside see a constant.  The staircase is read
-    # through the scalar reference evaluator, not the engine's array one.
+def test_cantor_sweep_matches_monte_carlo(cantor_monte_carlo):
     u = cantor_staircase(0.0, 1.0, 1.0)
     sweep = lambda_sweep(u, 1.0, 1e3, 1e4, points=2, tol=0.04, max_depth=60)
-
-    def stair(t):
-        return cantor_eval(min(max(t, 0.0), 1.0))
-
     rng = np.random.default_rng(20261019)
-    n = 400_000
     for lam, enc in zip(sweep.lambdas, sweep.enclosures):
-        H = lam**-0.5
-        xs = rng.uniform(-H, 1.0, n).tolist()
-        hs = rng.uniform(0.0, H, n).tolist()
-        hits = sum(abs(stair(x + h) - stair(x)) > lam * h * h for x, h in zip(xs, hs))
-        p = hits / n
-        scale = 2.0 * lam * (1.0 + H) * H
-        est = scale * p
-        se = scale * math.sqrt(p * (1.0 - p) / n)
+        est, se = cantor_monte_carlo(lam, 400_000, rng)
         assert enc.lo - 4.0 * se <= est <= enc.hi + 4.0 * se, (lam, enc, est, se)
 
 

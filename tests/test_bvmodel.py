@@ -237,18 +237,17 @@ def test_derivative_support():
 
 def test_oscillation_bound_cantor_window():
     u = cantor_staircase()
-    exact, osc = u.oscillation_bound((0.0, 1.0 / 3.0))
-    assert exact
+    osc = u.oscillation_bound((0.0, 1.0 / 3.0))
     assert abs(osc - 0.5) < 1e-9
 
 
-def test_oscillation_bound_mixed_directions_flagged():
+def test_oscillation_bound_mixed_directions_sums_pieces():
+    # The pieces move in opposite directions, so the bound, the sum of
+    # their oscillations, exceeds the attained sup |u(y) - u(x)| = 0.5.
     u = BVFunction1D(
         pieces=(affine_ramp(0.0, 1.0, 1.0), smoothstep_piece(0.0, 1.0, -0.5))
     )
-    exact, osc = u.oscillation_bound((0.0, 1.0))
-    assert not exact
-    assert osc >= 0.5
+    assert u.oscillation_bound((0.0, 1.0)) == 1.5
 
 
 def test_oscillation_bound_dominates_sampled_pairs():
@@ -256,7 +255,7 @@ def test_oscillation_bound_dominates_sampled_pairs():
     rng = np.random.default_rng(5)
     for _ in range(60):
         lo, hi = np.sort(rng.uniform(-1.0, 5.0, size=2))
-        _, osc = u.oscillation_bound((float(lo), float(hi)))
+        osc = u.oscillation_bound((float(lo), float(hi)))
         xs = rng.uniform(lo, hi, size=30)
         vals = [u.eval(float(x)) for x in xs]
         assert max(vals) - min(vals) <= osc + 1e-12
@@ -281,6 +280,10 @@ def test_scaled_cantor_flips_orientation():
     v = u.scaled(-1.0)
     assert v.eval(0.5) == -0.5
     assert abs(v.total_variation - 1.0) < 1e-15
+    # One signed rise: every way of writing the same staircase is equal.
+    assert v.pieces == (cantor_piece(0.0, 1.0, -1.0),)
+    assert v.pieces == (cantor_piece(0.0, 1.0, 1.0, orientation=-1),)
+    assert v.scaled(-1.0).pieces == u.pieces
 
 
 def test_dilated_pointwise():

@@ -301,6 +301,32 @@ def test_section_nd_variation_check(tmp_path):
     assert res["failures"] == 0
 
 
+@pytest.mark.parametrize("form", [{"lambda": 100.0, "tol_1d": 0.5}, {"variation_check": "a"}])
+def test_section_nd_radial_writes_report(tmp_path, form):
+    # The radial field's variation masses come from polynomial root
+    # finding; the report must still hold plain JSON numbers and flags.
+    out = tmp_path / "run"
+    payload = {
+        "mode": "section-nd",
+        "gamma": 1.0,
+        "field": {
+            "kind": "radial_smooth",
+            "dimension": 2,
+            "radius": 1.0,
+            "coeffs": [1.0, -2.0, 1.0],
+        },
+        "samples": 8,
+        "seed": 3,
+        "out": str(out),
+    }
+    payload.update(form)
+    rc = main(["--config", write_config(tmp_path, payload)])
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert isinstance(res["pass"], bool)
+    assert rc == (0 if res["pass"] else 2)
+    assert isinstance(res["target"], float) and res["target"] > 0.0
+
+
 def test_gadgets_mode(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(

@@ -304,6 +304,11 @@ def test_pair_increment_bounds_bracket_samples():
                 continue
             box = PlaneBox((float(x0), float(x1)), (float(h0), float(h1)))
             low, up = pair_increment_bounds(u, box)
+            # Every pair lies in [x0, x1 + h1], so the scalar oscillation
+            # oracle bounds the engine's upper end; the slack covers the
+            # Cantor span nudge.
+            osc = u.oscillation_bound((float(x0), float(x1 + h1)))
+            assert up <= osc + 1e-8 * u.total_variation
             xs = rng.uniform(x0, x1, size=25)
             hs = rng.uniform(h0, h1, size=25)
             for x, h in zip(xs, hs):
