@@ -202,8 +202,6 @@ def build_function(node, path: str = "function") -> BVFunction1D:
                     orient = pn.get("orientation")
                     if orient is not None:
                         orient = _int(orient, f"{pp}.orientation")
-                        if orient not in (-1, 1):
-                            raise ConfigError(f"{pp}.orientation: must be 1 or -1")
                     pieces.append(cantor_piece(a, b, rise, orient))
             else:
                 raise ConfigError(

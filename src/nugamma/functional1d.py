@@ -31,6 +31,20 @@ for instance) skips the refinement: its exceedance set is a union of
 trapezoid slabs, one per run of consecutive jumps, whose kernel mass has
 a closed form.  :func:`_jump_sections_F` evaluates it with outward
 rounding, so those enclosures are about 1e-14 wide relative to the value.
+
+A function made of one Cantor piece is refined as the unit staircase U
+on [0, 1] at a reduced threshold.  Scaling and dilation give
+F_lam(u) = |r| F_lam'(U) with lam' = lam w^(1+gamma) / |r| for a piece of
+support width w and rise r.  U is the sum of its two thirds, U(3x)/2 and
+U(3x - 2)/2, and once lam' >= 3^(1+gamma) no pair touching both thirds
+exceeds, so F_lam'(U) = F_(lam'/rho)(U) with rho = 3^(1+gamma)/2.
+:func:`_reduced_lam` divides by rho while that holds, which lands lam' in
+[2, 3^(1+gamma)) whatever lam was, so the cost no longer grows with lam.
+The reduced lam' is known only as a float bracket [a, b].  nu(E) falls as
+the threshold grows, so one refinement that tests "outside" at a and
+"inside" at b, with its truncation radius taken at a, encloses
+F_lam'(U) in [2a nu_lo, 2b nu_hi].  Every other function is refined at
+a = b = lam.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from .bvmodel import (
     _shape_deriv,
     _shape_unit,
     cantor_eval_array,
+    cantor_staircase,
 )
 from .numeasure import Enclosure, PlaneBox, as_gamma
 
@@ -90,6 +105,13 @@ _TNUDGE = 5e-15
 _LOG3 = math.log(3.0)
 
 _EPS = float(np.finfo(float).eps)
+
+#: Float error of the log-domain sum in :func:`_reduced_lam`, in units of
+#: eps times the sum of its terms' magnitudes.  Each term is a log (within
+#: 1 ulp) times at most one rounded factor; log rho = (1+g) log 3 - log 2
+#: is within about 8 eps of itself relative, since log rho >= log 1.5.
+#: That is at most 10 eps a term; 32 leaves a margin.
+_LOG_ERR = 32.0
 
 #: Float error of one ramp mass in :func:`_ramp_mass`, in units of eps
 #: times the sum of its terms' magnitudes.  Each term takes a power (at
@@ -529,13 +551,18 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
     """Run the refinement for the sections ``rows`` of a batch at once.
 
-    Returns arrays (lo, slack, tol_met) over all sections of the batch,
-    in kernel-measure units: the certified enclosure of a refined section
-    is [lo, lo + slack].  Sections not in ``rows`` get no boxes and read
-    (0, 0, True).
+    ``lam`` is one threshold slope, or an array of shape (2, S) holding a
+    bracket [a, b] of each section's slope.  A box is outside when no
+    pair exceeds at a, and inside when every pair exceeds at b, and the
+    truncation radius is taken at a.  Returns arrays (lo, slack, tol_met)
+    over all sections of the batch, in kernel-measure units: lo bounds
+    nu(E_b) from below and lo + slack bounds nu(E_a) from above, so for a
+    single slope the certified enclosure is [lo, lo + slack].  Sections
+    not in ``rows`` get no boxes and read (0, 0, True).
     """
     S = B.S
     g = gamma
+    lam_a, lam_b = np.broadcast_to(lam, (2, S))
     lo_acc = np.zeros(S)
     stuck = np.zeros(S)
     frozen_extra = np.zeros(S)
@@ -544,7 +571,7 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
     # Root boxes: beyond separation H nothing exceeds, and pairs moving u
     # must touch the derivative support.  H is padded a hair to absorb
     # rounding in the power.
-    H = (B.tv[rows] / lam) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
+    H = (B.tv[rows] / lam_a[rows]) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
     x0 = -H
     x1 = B.supp_w[rows]
     h0 = np.zeros(rows.size)
@@ -563,8 +590,8 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
             up[sl], low[sl], xfeat[sl], xsmooth[sl] = _wave_bounds(
                 B, sid[sl], x0[sl], x1[sl], h0[sl], h1[sl]
             )
-        thr_lo = lam * h0 ** (1.0 + g)
-        thr_hi = lam * h1 ** (1.0 + g)
+        thr_lo = lam_a[sid] * h0 ** (1.0 + g)
+        thr_hi = lam_b[sid] * h1 ** (1.0 + g)
         outside = up <= thr_lo
         inside = ~outside & (low > thr_hi)
         mass = (x1 - x0) * (h1**g - h0**g) / g
@@ -751,7 +778,12 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
         # the sum of the magnitudes.
         D = np.abs(np.cumsum(J[:, i:], axis=1))
         dD = 2.0 * _EPS * (j - i) * np.cumsum(np.abs(J[:, i:]), axis=1)
-        c_lo, c_hi = _cutoff(*_widen(D, dD), lam, g)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            c_lo, c_hi = _cutoff(*_widen(D, dD), lam, g)
+        if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
+            raise ValueError(
+                f"jump cutoff (|J| / lam)^(1/(1+gamma)) overflows at lam {lam!r}"
+            )
         ramps = (
             (1.0, p[:, j], p[:, i, None]),
             (-1.0, p[:, j], P[:, i, None]),
@@ -778,8 +810,63 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
     scale = 2.0 * lam
     F_lo = np.nextafter(scale * np.nextafter(lo - n_eps * mag_lo, -np.inf), -np.inf)
     F_hi = np.nextafter(scale * np.nextafter(hi + n_eps * mag_hi, np.inf), np.inf)
+    if not (np.isfinite(F_lo).all() and np.isfinite(F_hi).all()):
+        raise ValueError(f"jump slab masses are not finite at lam {lam!r}")
     moved = mag_hi > 0
     return np.where(moved, np.maximum(F_lo, 0.0), 0.0), np.where(moved, F_hi, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Cantor-only sections at a reduced threshold
+# ---------------------------------------------------------------------------
+
+
+def _reduced_lam(lam: float, g: float, piece: CantorPiece) -> tuple[float, float]:
+    """Float bracket [a, b] of the threshold at which the unit staircase's
+    F, times |rise|, is the functional of ``piece`` at ``lam``.
+
+    That threshold is lam w^(1+g) / |rise| / rho^k with w the support
+    width and rho = 3^(1+g)/2, where k counts the divisions by rho made
+    while the bracket's lower end is at least 3^(1+g) (see the module
+    docstring).  The sum of logs carries a bound on its float error, so
+    an input whose lam w^(1+g) alone overflows still reduces.  Raises
+    ValueError when the bracket does not fit in finite floats.
+    """
+    lo, hi = piece.support
+    e = 1.0 + g
+    ln_rho = e * _LOG3 - math.log(2.0)
+    # An upper bound of log 3^(1+g), so a division is made only where the
+    # true threshold is at least 3^(1+g).
+    ln_top = e * _LOG3 * (1.0 + 4.0 * _EPS)
+    terms = [math.log(lam), e * math.log(hi - lo), -math.log(abs(piece.rise))]
+    if not all(map(math.isfinite, terms)):
+        raise ValueError(f"cannot reduce lam {lam!r} for {piece}: its log overflows")
+
+    def bracket(k):
+        t = [*terms, -k * ln_rho]
+        m = math.fsum(t)
+        # hi - lo rounds by at most u relative, which moves e log w by e u
+        # whatever the size of the log; e eps covers that twice.
+        r = _LOG_ERR * _EPS * math.fsum(map(abs, t)) + e * _EPS
+        return m - r, m + r
+
+    k = max(0, math.floor((bracket(0)[0] - ln_top) / ln_rho) + 1)
+    while k > 0 and bracket(k - 1)[0] < ln_top:
+        k -= 1
+    while bracket(k)[0] >= ln_top:
+        k += 1
+    ln_a, ln_b = bracket(k)
+    try:
+        a = math.nextafter(math.exp(ln_a) * (1.0 - 4.0 * _EPS), 0.0)
+        b = math.nextafter(math.exp(ln_b) * (1.0 + 4.0 * _EPS), math.inf)
+    except OverflowError:
+        a = b = math.inf
+    if not (a > 0.0 and math.isfinite(1.0 / a) and math.isfinite(b)):
+        raise ValueError(
+            f"cannot bracket the reduced lam of {piece} at lam {lam!r} in finite "
+            f"floats: log bracket [{ln_a!r}, {ln_b!r}]"
+        )
+    return a, b
 
 
 def f_enclosures_batch(
@@ -794,25 +881,45 @@ def f_enclosures_batch(
     All functions share gamma, lam, and the width target semantics of
     :class:`ExceedanceQuery`, which validates them.  A function made of
     jumps only, constant ones included, is evaluated in closed form
-    (:func:`_jump_sections_F`); a constant one gives exactly [0, 0].
-    Every other function goes through the branch-and-bound refinement.
+    (:func:`_jump_sections_F`); a constant one gives exactly [0, 0].  A
+    function made of one Cantor piece is refined as |rise| times the unit
+    staircase at the bracket of :func:`_reduced_lam`.  Every other
+    function is refined as it is.
     """
     q = ExceedanceQuery(gamma, lam, tol, max_depth)
-    batch = _Batch(funcs)
-    scale = 2.0 * q.lam
+    cantor = np.array(
+        [len(u.pieces) == 1 and isinstance(u.pieces[0], CantorPiece) for u in funcs],
+        dtype=bool,
+    )
+    unit = cantor_staircase()
+    batch = _Batch([unit if c else u for u, c in zip(funcs, cantor)])
+    # Per row: a threshold bracket [a, b] and the factor |rise| that maps
+    # the unit staircase back; a = b = lam and 1 for rows kept as they are.
+    lam_ab = np.full((2, batch.S), q.lam)
+    fac = np.ones(batch.S)
+    for k in np.nonzero(cantor)[0]:
+        piece = funcs[k].pieces[0]
+        lam_ab[:, k] = _reduced_lam(q.lam, q.gamma, piece)
+        fac[k] = abs(piece.rise)
+    scale = 2.0 * fac * lam_ab
     if q.tol is None:
-        tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * batch.tv / (1.0 + q.gamma))
+        tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * fac * batch.tv / (1.0 + q.gamma))
     else:
         tol_f = np.full(batch.S, q.tol)
     exact = np.nonzero(batch.jump_only)[0]
     refine = np.nonzero(~batch.jump_only)[0]
+    exact_F = _jump_sections_F(batch, exact, q.gamma, q.lam)
     lo, slack, met = _split_wave(
-        batch, q.gamma, q.lam, tol_f / scale, q.max_depth, refine
+        batch, q.gamma, lam_ab, tol_f / scale[1], q.max_depth, refine
     )
-    F_lo = scale * lo
-    F_hi = scale * (lo + slack)
-    F_lo[exact], F_hi[exact] = _jump_sections_F(batch, exact, q.gamma, q.lam)
-    met[exact] = F_hi[exact] - F_lo[exact] <= tol_f[exact]
+    F_lo = scale[0] * lo
+    F_hi = scale[1] * (lo + slack)
+    # Each Cantor end took up to three roundings, u each.
+    F_lo[cantor] = np.nextafter(F_lo[cantor] * (1.0 - 2.0 * _EPS), 0.0)
+    F_hi[cantor] = np.nextafter(F_hi[cantor] * (1.0 + 2.0 * _EPS), np.inf)
+    F_lo[exact], F_hi[exact] = exact_F
+    checked = batch.jump_only | cantor
+    met[checked] &= F_hi[checked] - F_lo[checked] <= tol_f[checked]
     return [Enclosure(F_lo[k], F_hi[k], met[k]) for k in range(batch.S)]
 
 

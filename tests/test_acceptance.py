@@ -2,7 +2,9 @@
 
 Each test prints a single pass/fail line; run ``pytest tests/test_acceptance.py -s``
 to see all ten lines together.  The suite takes several minutes, most of
-them in the criterion 09 invariance suite and the criterion 04 Cantor sweep.
+them in the criterion 09 invariance suite.  The criterion 04 Cantor sweep
+takes about 10 s, most of it in its Monte Carlo draws, since the engine
+evaluates the staircase at a threshold reduced by its self-similarity.
 """
 
 import math

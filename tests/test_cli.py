@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nugamma.cli import main
+from nugamma.cli import ConfigError, build_function, main
 from nugamma.bvmodel import single_jump
 from nugamma.functional1d import ExceedanceQuery, F_value
 
@@ -82,6 +82,17 @@ def test_bad_piece_kind_names_path(tmp_path, capsys):
     rc = main(["--config", cfg])
     assert rc == 1
     assert "pieces[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orientation", [2, 0, -2])
+def test_bad_cantor_orientation_names_key(orientation):
+    node = {
+        "pieces": [
+            {"kind": "cantor", "support": [0.0, 1.0], "rise": 1.0, "orientation": orientation}
+        ]
+    }
+    with pytest.raises(ConfigError, match=r"function\.pieces\[0\]: orientation"):
+        build_function(node)
 
 
 def test_unknown_mode_rejected(tmp_path, capsys):

@@ -22,6 +22,7 @@ from nugamma.asymptotics import gadget_jump_measure
 from nugamma.functional1d import (
     BoxVerdict,
     _Batch,
+    _reduced_lam,
     _split_wave,
     ExceedanceQuery,
     ZeroVariationError,
@@ -239,6 +240,114 @@ def test_cantor_grid_estimate_inside_enclosure():
     cell = np.diff(xs)[:, None] * (Hh ** (g - 1.0)) * np.diff(hs)[None, :]
     est = float((cell * exceed).sum())
     assert enc.lo - 0.05 * enc.hi <= est <= enc.hi * 1.05
+
+
+def _reduced_lam_decimal(lam, gamma, piece):
+    """The reduced threshold of :func:`_reduced_lam` in 50-digit decimal:
+    lam w^(1+gamma) / |rise|, divided by rho = 3^(1+gamma)/2 while it is at
+    least 3^(1+gamma)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = 1 + Decimal(gamma)
+        w = Decimal(piece.support[1]) - Decimal(piece.support[0])
+        lam_r = Decimal(lam) * (e * w.ln()).exp() / abs(Decimal(piece.rise))
+        top = (e * Decimal(3).ln()).exp()
+        while lam_r >= top:
+            lam_r /= top / 2
+        return lam_r
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_cantor_reduction_matches_direct_refinement_over_a_period(gamma):
+    # The engine evaluates the staircase at lam / rho; the direct run
+    # refines it at lam itself, across one period of the self-similarity.
+    u = cantor_staircase()
+    top = 3.0 ** (1.0 + gamma)
+    lams = [top * (top / 2.0) ** ((j + 0.5) / 5) for j in range(5)]
+    for lam in lams:
+        (enc,) = f_enclosures_batch([u], gamma, lam, tol=0.02, max_depth=60)
+        (direct,) = _refined([u], gamma, lam, 0.02, max_depth=60)
+        assert enc.overlaps(direct), (lam, enc, direct)
+        assert enc.tol_met and direct.tol_met
+
+
+# Cantor pieces away from the unit staircase, each with the threshold
+# slope lam' = lam w^(1+gamma) / |rise| it maps to before reducing: 12
+# reduces at gamma 0.5 and 1, not at 2.  None stands for lam = 1e-300 on
+# a piece whose lam w^(1+gamma) alone overflows.
+_CANTOR_MAPS = [
+    (cantor_piece(0.0, 1.0, -0.3), 12.0),
+    (cantor_piece(0.0, 1.0, 1e3), 12.0),
+    (cantor_piece(1e10, 1e10 + 0.5, 1.0), 12.0),
+    (cantor_piece(0.0, 1e-3, 1.0), 12.0),
+    (cantor_piece(0.0, 1e200, 1e-100), None),
+]
+
+
+def _cantor_map_lam(piece, lam_m, gamma):
+    if lam_m is None:
+        return 1e-300
+    w = piece.support[1] - piece.support[0]
+    return lam_m * abs(piece.rise) / w ** (1.0 + gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_cantor_map_brackets_reduced_lam(gamma):
+    top = 3.0 ** (1.0 + gamma)
+    for piece, lam_m in _CANTOR_MAPS:
+        lam = _cantor_map_lam(piece, lam_m, gamma)
+        a, b = _reduced_lam(lam, gamma, piece)
+        assert Decimal(a) <= _reduced_lam_decimal(lam, gamma, piece) <= Decimal(b)
+        assert 0.0 < b - a <= 1e-10 * b
+        if lam_m is None or lam_m >= top:
+            assert 2.0 * (1.0 - 1e-9) <= a < b < top * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_cantor_map_overlaps_direct_refinement(gamma):
+    # The reduced enclosure of each piece against a refinement of the
+    # piece itself at lam, or, where that is out of reach, of the unit
+    # staircase at the decimal reduced lam.
+    tol = 0.05
+    for piece, lam_m in _CANTOR_MAPS:
+        u = BVFunction1D((piece,), 5.0)
+        r = abs(piece.rise)
+        lam = _cantor_map_lam(piece, lam_m, gamma)
+        if lam_m is None:
+            lam_r = float(_reduced_lam_decimal(lam, gamma, piece))
+            (unit,) = _refined([cantor_staircase()], gamma, lam_r, tol, max_depth=60)
+            direct = unit.scaled(r)
+        else:
+            (direct,) = _refined([u], gamma, lam, tol * r, max_depth=60)
+        (enc,) = f_enclosures_batch([u], gamma, lam, tol=tol * r, max_depth=60)
+        assert enc.overlaps(direct), (piece, enc, direct)
+        assert enc.width <= tol * r if enc.tol_met else enc.width > 0.0
+
+
+def test_cantor_gamma_half_meets_tol(cantor_monte_carlo):
+    # Refined directly at lam 1e4, this staircase took about 100 s and
+    # still missed tol 0.02.
+    (enc,) = f_enclosures_batch([cantor_staircase()], 0.5, 1e4, tol=0.02, max_depth=60)
+    assert enc.tol_met and enc.width <= 0.02
+    est, se = cantor_monte_carlo(1e4, 400_000, np.random.default_rng(61), gamma=0.5)
+    assert enc.contains(est, 4.0 * se), (enc, est, se)
+
+
+@pytest.mark.parametrize(
+    "u, lam, match",
+    [
+        (single_jump(1e300), 1e-100, "cutoff"),
+        (single_jump(1.0), 1e-309, "cutoff"),
+        (cantor_staircase(0.0, 1e-200, 1.0), 1e-100, "cannot bracket"),
+        (cantor_staircase(0.0, 1.0, 1e300), 1e-10, "cannot bracket"),
+    ],
+)
+def test_unrepresentable_thresholds_raise(u, lam, match):
+    # The jump cutoffs overflow, where the closed form once read the nan
+    # masses as no jumps and gave [0, 0] with tol met; the Cantor rows'
+    # reduced thresholds fall below the float range.
+    with pytest.raises(ValueError, match=match):
+        f_enclosures_batch([u], 1.0, lam)
 
 
 # ---------------------------------------------------------------------------
