@@ -26,13 +26,26 @@ over-estimate and lower pair bounds under-estimate, so the returned
 interval is a true enclosure regardless of whether the width target was
 reached (the ``tol_met`` flag records that separately).
 
-A function made of jumps only (every line section of a set's indicator,
-for instance) skips the refinement: its exceedance set is a union of
+The engine localises first.  No pair with separation h >= H =
+(TV / lam)^(1/(1+gamma)) exceeds, so a pair that moves two groups of
+pieces lying more than H apart never exceeds: every exceeding pair moves
+one group only, by that group's increment.  The exceedance set is then
+the disjoint union of the groups' sets, and F(u) = sum_k F(u_k) holds
+exactly.  :func:`_clusters` splits each function into such parts, and
+each part is one row of the batch, classified by the rules below.  The
+rows of a function share its tol, not a split of it: the closed-form
+rows' widths are taken off it, and the refinement freezes all the
+function's rows at once when their unresolved slack, summed in
+functional units, is at most what is left.  A function that forms one
+row freezes on that row's slack in kernel units, as a lone row does.
+
+A row made of jumps only (every line section of a set's indicator, for
+instance) skips the refinement: its exceedance set is a union of
 trapezoid slabs, one per run of consecutive jumps, whose kernel mass has
 a closed form.  :func:`_jump_sections_F` evaluates it with outward
 rounding, so those enclosures are about 1e-14 wide relative to the value.
 
-A function made of one Cantor piece is refined as the unit staircase U
+A row made of one Cantor piece is refined as the unit staircase U
 on [0, 1] at a reduced threshold.  Scaling and dilation give
 F_lam(u) = |r| F_lam'(U) with lam' = lam w^(1+gamma) / |r| for a piece of
 support width w and rise r.  U is the sum of its two thirds, U(3x)/2 and
@@ -43,8 +56,10 @@ exceeds, so F_lam'(U) = F_(lam'/rho)(U) with rho = 3^(1+gamma)/2.
 The reduced lam' is known only as a float bracket [a, b].  nu(E) falls as
 the threshold grows, so one refinement that tests "outside" at a and
 "inside" at b, with its truncation radius taken at a, encloses
-F_lam'(U) in [2a nu_lo, 2b nu_hi].  Every other function is refined at
-a = b = lam.
+F_lam'(U) in [2a nu_lo, 2b nu_hi].  Below the float range, where lam'
+itself underflows, F_lam'(U) is within 2 lam'^(1/(1+gamma)) / gamma of
+2 / (1 + gamma) and takes that closed-form bound instead
+(:func:`_coarse_cantor_F`).  Every other row is refined at a = b = lam.
 """
 
 from __future__ import annotations
@@ -548,25 +563,42 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 # ---------------------------------------------------------------------------
 
 
-def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
+def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
     """Run the refinement for the sections ``rows`` of a batch at once.
 
     ``lam`` is one threshold slope, or an array of shape (2, S) holding a
     bracket [a, b] of each section's slope.  A box is outside when no
     pair exceeds at a, and inside when every pair exceeds at b, and the
-    truncation radius is taken at a.  Returns arrays (lo, slack, tol_met)
-    over all sections of the batch, in kernel-measure units: lo bounds
+    truncation radius is taken at a.
+
+    ``owner`` maps each section to the function it is a part of (by
+    default every section is its own function), and ``tol`` gives each
+    function's width target in the units of ``weight``, a per-section
+    factor.  A function freezes, all its sections at once, in the first
+    wave where the sum over its sections of weight times unresolved mass
+    is at most its tol; its sections then keep that mass as slack.  With
+    weight 1 and one section per function this is a per-section freeze
+    in kernel-measure units.
+
+    Returns per section (lo, slack), in kernel-measure units: lo bounds
     nu(E_b) from below and lo + slack bounds nu(E_a) from above, so for a
     single slope the certified enclosure is [lo, lo + slack].  Sections
-    not in ``rows`` get no boxes and read (0, 0, True).
+    not in ``rows`` get no boxes and read (0, 0).  The third array gives
+    per function ``tol_met``: it froze, or the weighted mass retired by
+    the depth cap, the wave cap or an unsplittable box is at most its
+    tol.
     """
     S = B.S
     g = gamma
     lam_a, lam_b = np.broadcast_to(lam, (2, S))
+    owner = np.arange(S) if owner is None else owner
+    NF = int(owner.max()) + 1 if S else 0
+    tol = np.broadcast_to(tol, (NF,))
+    weight = np.broadcast_to(weight, (S,))
     lo_acc = np.zeros(S)
     stuck = np.zeros(S)
     frozen_extra = np.zeros(S)
-    frozen = np.zeros(S, dtype=bool)
+    frozen = np.zeros(NF, dtype=bool)
 
     # Root boxes: beyond separation H nothing exceeds, and pairs moving u
     # must touch the derivative support.  H is padded a hair to absorb
@@ -600,12 +632,13 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
         mixed = ~outside & ~inside
         gap = np.bincount(sid[mixed], weights=mass[mixed], minlength=S)
         rem = gap + stuck
-        freeze_now = ~frozen & (rem <= tol_nu)
+        rem_f = np.bincount(owner, weights=weight * rem, minlength=NF)
+        freeze_now = ~frozen & (rem_f <= tol)
         if freeze_now.any():
-            frozen_extra = np.where(freeze_now, rem, frozen_extra)
+            frozen_extra = np.where(freeze_now[owner], rem, frozen_extra)
             frozen = frozen | freeze_now
 
-        keep = mixed & ~frozen[sid]
+        keep = mixed & ~frozen[owner[sid]]
         splittable = keep & (depth < max_depth)
         capped = keep & ~splittable
         if capped.any():
@@ -663,8 +696,8 @@ def _split_wave(B, gamma, lam, tol_nu, max_depth, rows):
         del mixed, keep, splittable, capped, idx, bx0, bx1, bh0, bh1, xm, hk
         del hm, ha, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
 
-    slack = np.where(frozen, frozen_extra, stuck)
-    tol_met = frozen | (stuck <= tol_nu)
+    slack = np.where(frozen[owner], frozen_extra, stuck)
+    tol_met = frozen | (np.bincount(owner, weights=weight * stuck, minlength=NF) <= tol)
     return lo_acc, slack, tol_met
 
 
@@ -829,8 +862,11 @@ def _reduced_lam(lam: float, g: float, piece: CantorPiece) -> tuple[float, float
     width and rho = 3^(1+g)/2, where k counts the divisions by rho made
     while the bracket's lower end is at least 3^(1+g) (see the module
     docstring).  The sum of logs carries a bound on its float error, so
-    an input whose lam w^(1+g) alone overflows still reduces.  Raises
-    ValueError when the bracket does not fit in finite floats.
+    an input whose lam w^(1+g) alone overflows still reduces.  Where the
+    lower end is too small for a refinement (zero, or with 1 / a
+    overflowing), a is returned as 0 and the row takes the closed-form
+    bound of :func:`_coarse_cantor_F`.  Raises ValueError when the
+    bracket overflows.
     """
     lo, hi = piece.support
     e = 1.0 + g
@@ -861,12 +897,86 @@ def _reduced_lam(lam: float, g: float, piece: CantorPiece) -> tuple[float, float
         b = math.nextafter(math.exp(ln_b) * (1.0 + 4.0 * _EPS), math.inf)
     except OverflowError:
         a = b = math.inf
-    if not (a > 0.0 and math.isfinite(1.0 / a) and math.isfinite(b)):
+    if not math.isfinite(b):
         raise ValueError(
             f"cannot bracket the reduced lam of {piece} at lam {lam!r} in finite "
             f"floats: log bracket [{ln_a!r}, {ln_b!r}]"
         )
-    return a, b
+    return (a if a > 0.0 and math.isfinite(1.0 / a) else 0.0), b
+
+
+def _coarse_cantor_F(rise: float, b: float, g: float) -> tuple[float, float]:
+    """Certified enclosure of F of a Cantor piece of rise ``rise`` whose
+    threshold, mapped to the unit staircase U, is at most b.
+
+    At threshold lam' the pairs that move U by its whole rise exceed for
+    h < c = lam'^(-1/(1+g)).  Those straddling the whole support [0, 1]
+    then all exceed, and their mass, the integral of (h - 1) h^(g-1) over
+    [1, c], gives F_lam'(U) >= 2/(1+g) - 2/(g c).  Every exceeding pair
+    touches the support and, as |dU| <= 1, has h < c: the integral of
+    (h + 1) h^(g-1) over [0, c] gives F_lam'(U) <= 2/(1+g) + 2/(g c).  So
+    the bound narrows to the value of a jump of the same size as lam'
+    falls; 1/c is bracketed upward from b by :func:`_cutoff`.
+    """
+    s = float(_cutoff(b, b, 1.0, g)[1])
+    mid = 2.0 / (1.0 + g)
+    d = 2.0 * s / g
+    # mid and d each took at most two roundings, u each.
+    lo, hi = _widen(mid, d + 2.0 * _EPS * (mid + d))
+    r = abs(rise)
+    F_lo = math.nextafter(r * float(lo), 0.0)
+    F_hi = math.nextafter(r * float(hi), math.inf)
+    if not math.isfinite(F_hi):
+        raise ValueError(f"coarse Cantor bound overflows for rise {rise!r}")
+    return F_lo, F_hi
+
+
+# ---------------------------------------------------------------------------
+# Localisation and the engine entry point
+# ---------------------------------------------------------------------------
+
+
+def _clusters(u: BVFunction1D, lam: float, g: float) -> list[BVFunction1D]:
+    """Parts of u, summing to u, whose functionals sum to F(u).
+
+    Taken in order of their hulls (a jump's location, any other piece's
+    support), pieces join the current part unless they start more than
+    H = (TV / lam)^(1/(1+g)) past the hull of the pieces before them.  A
+    pair that moves two parts spans the gap between them, so h > H and
+    the pair cannot exceed; every exceeding pair moves one part only, by
+    that part's increment.  So E(u) is the disjoint union of the parts'
+    exceedance sets.  H is bracketed upward and each gap downward, so
+    rounding can only merge parts.  A function made of jumps only, or
+    forming one part, is returned whole.
+    """
+    if all(isinstance(p, JumpPiece) for p in u.pieces):
+        return [u]
+    hulls = [
+        (p.location, p.location) if isinstance(p, JumpPiece) else p.support
+        for p in u.pieces
+    ]
+    tv = u.total_variation
+    # The float sum of the pieces' variations errs by less than n u.
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = float(_cutoff(tv, tv * (1.0 + len(hulls) * _EPS), lam, g)[1])
+    if not math.isfinite(H):  # TV / lam overflows: no gap is wide enough
+        return [u]
+    order = sorted(range(len(hulls)), key=lambda k: hulls[k][0])
+    part = [0] * len(hulls)
+    n = 0
+    end = hulls[order[0]][1]
+    for k in order[1:]:
+        a, b = hulls[k]
+        if math.nextafter(a - end, -math.inf) > H:
+            n += 1
+        part[k] = n
+        end = max(end, b)
+    if n == 0:
+        return [u]
+    return [
+        BVFunction1D(tuple(p for p, j in zip(u.pieces, part) if j == i))
+        for i in range(n + 1)
+    ]
 
 
 def f_enclosures_batch(
@@ -879,48 +989,90 @@ def f_enclosures_batch(
     """Enclosures of the functional for many functions in one refinement.
 
     All functions share gamma, lam, and the width target semantics of
-    :class:`ExceedanceQuery`, which validates them.  A function made of
-    jumps only, constant ones included, is evaluated in closed form
-    (:func:`_jump_sections_F`); a constant one gives exactly [0, 0].  A
-    function made of one Cantor piece is refined as |rise| times the unit
-    staircase at the bracket of :func:`_reduced_lam`.  Every other
-    function is refined as it is.
+    :class:`ExceedanceQuery`, which validates them.  Each function is
+    split into the parts of :func:`_clusters`, one batch row each, and
+    its enclosure is the sum of its rows' enclosures, rounded outward.
+    A row made of jumps only, constant ones included, is evaluated in
+    closed form (:func:`_jump_sections_F`); a constant one gives exactly
+    [0, 0].  A row made of one Cantor piece is refined as |rise| times the
+    unit staircase at the bracket of :func:`_reduced_lam`, or bounded by
+    :func:`_coarse_cantor_F` below the float range.  Every other row is
+    refined as it is.
+
+    A function's rows share its tol: the closed-form rows' widths are
+    taken off it, and the refinement freezes the function once its
+    rows' unresolved slack, each in functional units (2 |rise| b for a
+    row refined at [a, b]), sums to at most the rest.  A function that
+    is one row freezes on that row's own slack in kernel units.
     """
     q = ExceedanceQuery(gamma, lam, tol, max_depth)
+    g = q.gamma
+    parts = [_clusters(u, q.lam, g) for u in funcs]
+    rows = [v for p in parts for v in p]
+    n_rows = np.array([len(p) for p in parts], dtype=np.intp)
+    owner = np.repeat(np.arange(len(funcs)), n_rows)
+    first = np.cumsum(n_rows) - n_rows
     cantor = np.array(
-        [len(u.pieces) == 1 and isinstance(u.pieces[0], CantorPiece) for u in funcs],
+        [len(v.pieces) == 1 and isinstance(v.pieces[0], CantorPiece) for v in rows],
         dtype=bool,
     )
     unit = cantor_staircase()
-    batch = _Batch([unit if c else u for u, c in zip(funcs, cantor)])
+    batch = _Batch([unit if c else v for v, c in zip(rows, cantor)])
     # Per row: a threshold bracket [a, b] and the factor |rise| that maps
     # the unit staircase back; a = b = lam and 1 for rows kept as they are.
+    # Rows in closed form get their enclosure C before the refinement.
     lam_ab = np.full((2, batch.S), q.lam)
     fac = np.ones(batch.S)
+    closed = batch.jump_only.copy()
+    C = np.zeros((2, batch.S))
+    exact = np.nonzero(closed)[0]
+    C[:, exact] = _jump_sections_F(batch, exact, g, q.lam)
     for k in np.nonzero(cantor)[0]:
-        piece = funcs[k].pieces[0]
-        lam_ab[:, k] = _reduced_lam(q.lam, q.gamma, piece)
+        piece = rows[k].pieces[0]
+        lam_ab[:, k] = _reduced_lam(q.lam, g, piece)
         fac[k] = abs(piece.rise)
+        if lam_ab[0, k] == 0.0:
+            closed[k] = True
+            C[:, k] = _coarse_cantor_F(piece.rise, lam_ab[1, k], g)
     scale = 2.0 * fac * lam_ab
     if q.tol is None:
-        tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * fac * batch.tv / (1.0 + q.gamma))
+        tv = np.bincount(owner, weights=fac * batch.tv, minlength=len(funcs))
+        tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * tv / (1.0 + g))
     else:
-        tol_f = np.full(batch.S, q.tol)
-    exact = np.nonzero(batch.jump_only)[0]
-    refine = np.nonzero(~batch.jump_only)[0]
-    exact_F = _jump_sections_F(batch, exact, q.gamma, q.lam)
+        tol_f = np.full(len(funcs), q.tol)
+
+    # Width targets in the units the refinement freezes on: a function of
+    # one refined row in that row's kernel units, any other in functional
+    # units, less the widths of its closed-form rows.
+    alone = n_rows == 1
+    weight = np.where(alone[owner], 1.0, scale[1])
+    tol_w = tol_f - np.bincount(owner, weights=C[1] - C[0], minlength=len(funcs))
+    solo = alone & ~closed[first]
+    tol_w[solo] = tol_f[solo] / scale[1, first[solo]]
+    refine = np.nonzero(~closed)[0]
     lo, slack, met = _split_wave(
-        batch, q.gamma, lam_ab, tol_f / scale[1], q.max_depth, refine
+        batch, g, lam_ab, tol_w, q.max_depth, refine, owner, weight
     )
     F_lo = scale[0] * lo
     F_hi = scale[1] * (lo + slack)
     # Each Cantor end took up to three roundings, u each.
     F_lo[cantor] = np.nextafter(F_lo[cantor] * (1.0 - 2.0 * _EPS), 0.0)
     F_hi[cantor] = np.nextafter(F_hi[cantor] * (1.0 + 2.0 * _EPS), np.inf)
-    F_lo[exact], F_hi[exact] = exact_F
-    checked = batch.jump_only | cantor
-    met[checked] &= F_hi[checked] - F_lo[checked] <= tol_f[checked]
-    return [Enclosure(F_lo[k], F_hi[k], met[k]) for k in range(batch.S)]
+    F_lo[closed], F_hi[closed] = C[:, closed]
+    # A function of one row reads that row; the rows of any other are
+    # summed with outward rounding.
+    lo_f, hi_f = F_lo[first], F_hi[first]
+    for f in np.nonzero(~alone)[0]:
+        ks = slice(first[f], first[f] + n_rows[f])
+        lo_f[f] = max(math.nextafter(math.fsum(F_lo[ks]), -math.inf), 0.0)
+        hi_f[f] = math.nextafter(math.fsum(F_hi[ks]), math.inf)
+    # The refinement's verdict covers slack only, so rows in closed form,
+    # Cantor rows (widened by their bracket) and sums check their width.
+    checked = (closed | cantor)[first] | ~alone
+    met[checked] &= hi_f[checked] - lo_f[checked] <= tol_f[checked]
+    return [
+        Enclosure(lo, hi, m) for lo, hi, m in zip(lo_f.tolist(), hi_f.tolist(), met.tolist())
+    ]
 
 
 def measure_exceedance(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:

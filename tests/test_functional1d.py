@@ -22,6 +22,7 @@ from nugamma.asymptotics import gadget_jump_measure
 from nugamma.functional1d import (
     BoxVerdict,
     _Batch,
+    _clusters,
     _reduced_lam,
     _split_wave,
     ExceedanceQuery,
@@ -335,19 +336,159 @@ def test_cantor_gamma_half_meets_tol(cantor_monte_carlo):
 
 @pytest.mark.parametrize(
     "u, lam, match",
-    [
-        (single_jump(1e300), 1e-100, "cutoff"),
-        (single_jump(1.0), 1e-309, "cutoff"),
-        (cantor_staircase(0.0, 1e-200, 1.0), 1e-100, "cannot bracket"),
-        (cantor_staircase(0.0, 1.0, 1e300), 1e-10, "cannot bracket"),
-    ],
+    [(single_jump(1e300), 1e-100, "cutoff"), (single_jump(1.0), 1e-309, "cutoff")],
 )
 def test_unrepresentable_thresholds_raise(u, lam, match):
     # The jump cutoffs overflow, where the closed form once read the nan
-    # masses as no jumps and gave [0, 0] with tol met; the Cantor rows'
-    # reduced thresholds fall below the float range.
+    # masses as no jumps and gave [0, 0] with tol met.
     with pytest.raises(ValueError, match=match):
         f_enclosures_batch([u], 1.0, lam)
+
+
+@pytest.mark.parametrize(
+    "pieces, lam, limit, direct",
+    [
+        # The direct refinement of this piece gave [0.986, 1.002].
+        ((cantor_piece(0.0, 1e-200, 1.0),), 1e-100, 1.0, (0.986, 1.002)),
+        ((cantor_piece(0.0, 1.0, 1e300),), 1e-10, 1e300, None),
+        # The jump is far enough away to form a part of its own, which
+        # leaves the Cantor piece alone in its row.  Refined whole, this
+        # function gave [1.9972, 2.0030].
+        (
+            (cantor_piece(0.0, 1e-200, 1.0), JumpPiece(1.0, -1.0)),
+            1e10,
+            2.0,
+            (1.9972, 2.0030),
+        ),
+    ],
+    ids=["narrow-support", "large-rise", "beside-a-far-jump"],
+)
+def test_tiny_threshold_cantor_rows_take_a_closed_form(pieces, lam, limit, direct):
+    # The reduced thresholds fall below the float range, where F is within
+    # 2 |rise| lam'^(1/(1+gamma)) / gamma of 2 |rise| / (1 + gamma), the
+    # value of a jump of the same size.
+    u = BVFunction1D(pieces)
+    assert len(_clusters(u, lam, 1.0)) == len(pieces)
+    (enc,) = f_enclosures_batch([u], 1.0, lam)
+    assert enc.lo <= limit <= enc.hi
+    assert enc.tol_met and 0.0 < enc.width <= 1e-12 * limit
+    if direct is not None:
+        assert enc.overlaps(Enclosure(*direct))
+
+
+# ---------------------------------------------------------------------------
+# Localisation: functions split into far-apart parts
+# ---------------------------------------------------------------------------
+
+
+def _catalog_piece(kind, a, w, r):
+    """A piece of the given kind starting at a, of width w and rise r."""
+    if kind == "jump":
+        return JumpPiece(a, r)
+    if kind == "affine":
+        return affine_ramp(a, a + w, r / w)
+    if kind == "smoothstep":
+        return smoothstep_piece(a, a + w, r)
+    if kind == "sine":
+        return sine_ramp(a, a + w, r)
+    if kind == "polynomial":
+        return polynomial_piece(a, a + w, (0.0, 2.0 * r, -r))
+    return cantor_piece(a, a + w, r)
+
+
+#: Gaps between a piece and the hull of the pieces before it, in units of
+#: the truncation radius H; "inside" starts the piece within that hull.
+_GAPS = ("inside", 0.0, 1.0 - 1e-9, 1.0 + 1e-15, 1.0 + 1e-9, 3.0)
+
+
+def _random_layout(rng, gamma, lam):
+    """Two to four pieces of random kinds, each placed at a gap drawn from
+    _GAPS after the ones before it."""
+    n = int(rng.integers(2, 5))
+    kinds = rng.choice(("jump", "affine", "smoothstep", "sine", "polynomial", "cantor"), n)
+    rises = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 1.0, n)
+    widths = rng.uniform(0.2, 0.6, n)
+    specs = list(zip(kinds, widths.tolist(), rises.tolist()))
+    tv = BVFunction1D(tuple(_catalog_piece(k, 0.0, w, r) for k, w, r in specs)).total_variation
+    H = truncation_radius(tv, lam, gamma)
+    pieces, end = [], 0.0
+    for k, w, r in specs:
+        gap = rng.choice(len(_GAPS)) if pieces else 1
+        a = end - 0.5 * w if _GAPS[gap] == "inside" else end + _GAPS[gap] * H
+        pieces.append(_catalog_piece(k, a, w, r))
+        end = max(end, a if k == "jump" else a + w)
+    return BVFunction1D(tuple(pieces))
+
+
+def test_clusters_split_only_beyond_the_truncation_radius():
+    lam, g = 50.0, 1.0
+    ramp = affine_ramp(0.0, 1.0, 1.0)
+    H = truncation_radius(2.0, lam, g)
+
+    def parts(*pieces):
+        return [len(v.pieces) for v in _clusters(BVFunction1D(pieces), lam, g)]
+
+    assert parts(ramp, JumpPiece(1.0 + 3.0 * H, 1.0)) == [1, 1]
+    assert parts(ramp, JumpPiece(1.0 + H * (1.0 + 1e-9), 1.0)) == [1, 1]
+    # Within a rounding margin of H, and closer, the parts merge.
+    assert parts(ramp, JumpPiece(1.0 + H, 1.0)) == [2]
+    assert parts(ramp, JumpPiece(1.0 + H * (1.0 - 1e-9), 1.0)) == [2]
+    # Touching and nested supports, and a jump inside a ramp's support.
+    assert parts(ramp, smoothstep_piece(1.0, 2.0, 1.0)) == [2]
+    assert parts(ramp, sine_ramp(0.2, 0.4, 1.0)) == [2]
+    assert parts(ramp, JumpPiece(0.5, 1.0)) == [2]
+    # A piece nested in an earlier, longer one bridges nothing: the gap is
+    # measured from the hull of everything before it.
+    far = JumpPiece(1.0 + 2.0 * H, 0.5)
+    assert parts(ramp, JumpPiece(0.5, 0.5), far) == [2, 1]
+    # Parts come in order along the line, and functions made of jumps stay
+    # whole.
+    assert [v.pieces for v in _clusters(BVFunction1D((far, ramp)), lam, g)] == [
+        (ramp,),
+        (far,),
+    ]
+    jumps = BVFunction1D((JumpPiece(0.0, 1.0), JumpPiece(10.0, 1.0)))
+    assert _clusters(jumps, lam, g) == [jumps]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_cluster_sums_overlap_whole_function_refinement(seed):
+    # Each function's parts are refined (or taken in closed form) apart
+    # and summed; the branch-and-bound of the whole function is the
+    # oracle.  A function forming one part takes the same refinement as
+    # the whole function, bit for bit.
+    rng = np.random.default_rng(seed)
+    lam, tol, depth = 50.0, 0.05, 40
+    split = 0
+    for _ in range(6):
+        g = float(rng.choice([0.5, 1.0, 2.0]))
+        u = _random_layout(rng, g, lam)
+        (enc,) = f_enclosures_batch([u], g, lam, tol, depth)
+        (whole,) = _refined([u], g, lam, tol, depth)
+        assert enc.overlaps(whole), (u, enc, whole)
+        if len(_clusters(u, lam, g)) > 1:
+            split += 1
+            assert enc.width <= tol if enc.tol_met else enc.width > 0.0
+        else:
+            assert (enc.lo, enc.hi, enc.tol_met) == (whole.lo, whole.hi, whole.tol_met)
+    assert split >= 2
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_far_jumps_add_their_closed_forms_to_a_ramp(gamma):
+    # Each jump is a part of its own; the ramp's row refines the ramp's
+    # own boxes, and a run at a tighter tol refines them further, so its
+    # enclosure nests inside that row's.
+    lam, tol = 1e3, 0.02
+    ramp = smoothstep_piece(0.0, 1.0, 1.0)
+    heights = (1.0, -0.5, 2.0)
+    u = BVFunction1D((ramp, *(JumpPiece(3.0 * (k + 1), h) for k, h in enumerate(heights))))
+    assert len(_clusters(u, lam, gamma)) == 4
+    (enc,) = f_enclosures_batch([u], gamma, lam, tol, max_depth=60)
+    (own,) = f_enclosures_batch([BVFunction1D((ramp,))], gamma, lam, tol / 2, max_depth=60)
+    jumps = sum(closed_form_jump_F(h, gamma) for h in heights)
+    assert enc.lo <= own.lo + jumps and own.hi + jumps <= enc.hi
+    assert enc.tol_met and enc.width <= tol
 
 
 # ---------------------------------------------------------------------------
