@@ -105,8 +105,10 @@ __all__ = [
 #: default is DEFAULT_TOL_SCALE * max(1, jump-only functional value).
 DEFAULT_TOL_SCALE = 1e-4
 
-#: Boxes classified per vectorised slice; bounds peak memory.
-_WAVE_CHUNK = 1 << 16
+#: Boxes classified per vectorised slice, sized so that the temporaries
+#: of :func:`_wave_bounds` stay in a core's cache.  Peak memory is set by
+#: the wave's own arrays, not by the slice.
+_WAVE_CHUNK = 1 << 13
 
 #: Hard cap on simultaneously alive boxes.  Beyond it the smallest-mass
 #: boxes are retired into the enclosure's slack instead of splitting.
@@ -220,7 +222,8 @@ def _polyval_grid(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     r = np.zeros_like(t)
     for k in range(coef.shape[-1] - 1, -1, -1):
-        r = r * t + coef[..., k, None]
+        r *= t
+        r += coef[..., k, None]
     return r
 
 
@@ -253,6 +256,13 @@ class _Batch:
     of its derivative support, so the support is [0, supp_w].  Boxes then
     live near 0, and splitting resolves the same scales wherever the
     function sits on the line; F is translation invariant.
+
+    A polynomial piece's profile P lives on t in [0, 1].  Its tables are
+    the coefficients ``pcoef`` and those of P' (``pder``), the interior
+    critical points ``pcrit`` and inflection points ``pdcrit`` (NaN
+    padded), and the values at them, ``pcval`` = P(pcrit) and ``pdval`` =
+    |P'(pdcrit)|.  Those depend on the piece alone, so each is evaluated
+    once here rather than for every box.
     """
 
     def __init__(self, funcs: Sequence[BVFunction1D]):
@@ -325,6 +335,8 @@ class _Batch:
         self.pder = _table(der, 0.0, tail=(D,))
         self.pcrit = _table(rows(poly, lambda p: p.profile.crit), np.nan, tail=(C,))
         self.pdcrit = _table(rows(poly, lambda p: p.profile.dcrit), np.nan, tail=(C2,))
+        self.pcval = _polyval_grid(self.pcoef, self.pcrit)
+        self.pdval = np.abs(_polyval_grid(self.pder, self.pdcrit))
         self.pvar = (self.pder[..., 1:] != 0.0).any(axis=-1)
 
         self.feat = _table(feats, np.inf)
@@ -356,6 +368,15 @@ def _holder_cap(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
         k = np.floor(-np.log(tau[m]) / _LOG3 - 1e-12)
         k = np.maximum(k, 0.0)
         out[m] = r[m] * np.minimum(2.0 * np.exp2(-k), 1.0)
+    return out
+
+
+def _fold(op, a, out):
+    """Reduce the last axis of ``a`` into ``out`` with an exact binary ufunc
+    ``op`` (max, min, or), column by column: numpy reduces a short trailing
+    axis row by row, tens of times slower."""
+    for k in range(a.shape[-1]):
+        out = op(out, a[..., k])
     return out
 
 
@@ -405,7 +426,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 
     if B.Kf:
         f = B.feat[sid]
-        xfeat |= ((f > x0[:, None]) & (f < span_hi[:, None])).any(axis=1)
+        xfeat = _fold(np.logical_or, (f > x0[:, None]) & (f < span_hi[:, None]), xfeat)
 
     if B.Kj:
         jl = B.jloc[sid]
@@ -421,9 +442,8 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         w = b - a
         rise = B.srise[sid]
         code = B.scode[sid]
-        xsmooth |= (
-            B.svar[sid] & (a < span_hi[:, None]) & (b > x0[:, None])
-        ).any(axis=1)
+        near = (a < span_hi[:, None]) & (b > x0[:, None])
+        xsmooth = _fold(np.logical_or, B.svar[sid] & near, xsmooth)
         t0 = np.clip((x0[:, None] - a) / w, 0.0, 1.0)
         t1 = np.clip((span_hi[:, None] - a) / w, 0.0, 1.0)
         osc = np.abs(rise) * (_shape_unit(code, t1) - _shape_unit(code, t0))
@@ -468,7 +488,8 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         w = b - a
         crise = B.crise[sid]
         r = np.abs(crise)
-        xfeat |= ((r > 0.0) & (a < span_hi[:, None]) & (b > x0[:, None])).any(axis=1)
+        near = (a < span_hi[:, None]) & (b > x0[:, None])
+        xfeat = _fold(np.logical_or, (r > 0.0) & near, xfeat)
         ts0 = np.clip((x0[:, None] - a) / w - _TNUDGE, 0.0, 1.0)
         ts1 = np.clip((span_hi[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
         tc0 = np.clip((core_lo[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
@@ -484,73 +505,51 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         a = B.pa[sid]
         b = B.pb[sid]
         w = b - a
-        coef = B.pcoef[sid]
-        der = B.pder[sid]
-        crit = B.pcrit[sid]
-        dcrit = B.pdcrit[sid]
-        xsmooth |= (
-            B.pvar[sid] & (a < span_hi[:, None]) & (b > x0[:, None])
-        ).any(axis=1)
-        t0 = np.clip((x0[:, None] - a) / w, 0.0, 1.0)
-        t1 = np.clip((span_hi[:, None] - a) / w, 0.0, 1.0)
-        cmask = np.isfinite(crit) & (crit > t0[..., None]) & (crit < t1[..., None])
-        tcand = np.concatenate(
-            [t0[..., None], t1[..., None], np.where(cmask, crit, t0[..., None])],
-            axis=-1,
-        )
-        vals = _polyval_grid(coef, tcand)
-        osc = vals.max(axis=-1) - vals.min(axis=-1)
+        near = (a < span_hi[:, None]) & (b > x0[:, None])
+        xsmooth = _fold(np.logical_or, B.pvar[sid] & near, xsmooth)
+        # One Horner pass evaluates P at the box's points, in the piece's
+        # coordinate t = (x - a) / w clipped to [0, 1]: the span ends t0
+        # and t1, the window's far end tw1 (at x1 + h0), the core ends
+        # tc0 = t(x1) and tc1, and t(x0 + h0).  A second one evaluates
+        # |P'| at the first three.  P at the critical points and |P'| at
+        # the inflection points come from the batch's tables; a candidate
+        # counts where it lies strictly inside the range at hand, and its
+        # NaN padding never does.
+        pts = np.stack([x0, span_hi, win_hi, core_lo, core_hi, x0 + h0], axis=-1)
+        t = np.clip((pts[:, None, :] - a[..., None]) / w[..., None], 0.0, 1.0)
+        v = _polyval_grid(B.pcoef[sid], t)
+        dv = np.abs(_polyval_grid(B.pder[sid], t[..., :3]))
+        t0, t1, tw1 = t[..., 0, None], t[..., 1, None], t[..., 2, None]
+        crit, cval = B.pcrit[sid], B.pcval[sid]
+        dcrit, dval = B.pdcrit[sid], B.pdval[sid]
+        cmask = (crit > t0) & (crit < t1)
+        smask = (dcrit > t0) & (dcrit < t1)
+        dmask = (dcrit > t0) & (dcrit < tw1)
+        v0, v1 = v[..., 0], v[..., 1]
+        vmax = _fold(np.maximum, np.where(cmask, cval, -np.inf), np.maximum(v0, v1))
+        vmin = _fold(np.minimum, np.where(cmask, cval, np.inf), np.minimum(v0, v1))
+        # |P'| peaks over the span at an end or an inflection point, and
+        # is least over the window hull at an end or one inside it.
+        d0, d1, dw1 = dv[..., 0], dv[..., 1], dv[..., 2]
+        smax = _fold(np.maximum, np.where(smask, dval, -np.inf), np.maximum(d0, d1))
+        dmin = _fold(np.minimum, np.where(dmask, dval, np.inf), np.minimum(d0, dw1))
+        # With an extremum inside the span the piece is not monotone
+        # there, so its lower bounds are discarded.
+        direction = np.where(_fold(np.logical_or, cmask, np.False_), 0.0, v1 - v0)
+        bent = _fold(np.logical_or, dmask, np.False_)
         ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
         win = np.minimum(h1[:, None], np.maximum(ov, 0.0))
-        # Local slope cap over the span's t range: |P'| peaks at an end
-        # or at an inflection point inside it.
-        smask = np.isfinite(dcrit) & (dcrit > t0[..., None]) & (dcrit < t1[..., None])
-        scand = np.concatenate(
-            [t0[..., None], t1[..., None], np.where(smask, dcrit, t0[..., None])],
-            axis=-1,
-        )
-        smax = np.abs(_polyval_grid(der, scand)).max(axis=-1)
-        up_i = np.minimum(osc, smax / w * win)
-        # With an extremum inside the span the piece is not monotone
-        # there, so its lower bounds below are discarded.
-        direction = np.where(cmask.any(axis=-1), 0.0, vals[..., 1] - vals[..., 0])
-        tc = np.stack(
-            [
-                np.clip((core_lo[:, None] - a) / w, 0.0, 1.0),
-                np.clip((core_hi[:, None] - a) / w, 0.0, 1.0),
-            ],
-            axis=-1,
-        )
-        vc = _polyval_grid(coef, tc)
-        inc = np.where(core_ok[:, None], np.abs(vc[..., 1] - vc[..., 0]), 0.0)
-        tw1 = np.clip((win_hi[:, None] - a) / w, 0.0, 1.0)
-        dmask = np.isfinite(dcrit) & (dcrit > t0[..., None]) & (dcrit < tw1[..., None])
-        dcand = np.concatenate(
-            [t0[..., None], tw1[..., None], np.where(dmask, dcrit, t0[..., None])],
-            axis=-1,
-        )
-        dvals = np.abs(_polyval_grid(der, dcand))
-        dmin = dvals.min(axis=-1)
+        up_i = np.minimum(vmax - vmin, smax / w * win)
+        inc = np.where(core_ok[:, None], np.abs(v[..., 4] - v[..., 3]), 0.0)
+        # The least pair increment at separation h0 is at least h0 times
+        # the least slope over the window hull [x0, x1 + h0].  With no
+        # inflection point in the hull the derivative is monotone there,
+        # so x -> P(x + h0) - P(x) is too and its minimum sits at an end
+        # of the x range, which beats the product where the slope varies.
         win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
         dwin = np.where(win_in, h0[:, None] * dmin / w, 0.0)
-        # With no inflection point in the window hull the derivative is
-        # monotone there, so x -> P(x + h0) - P(x) is too and its minimum
-        # sits at an end of the x range.  That beats the min-slope
-        # product whenever the slope varies across the hull.
-        tg = np.stack(
-            [
-                t0,
-                np.clip(((x0 + h0)[:, None] - a) / w, 0.0, 1.0),
-                np.clip((x1[:, None] - a) / w, 0.0, 1.0),
-                tw1,
-            ],
-            axis=-1,
-        )
-        gv = _polyval_grid(coef, tg)
-        ginc = np.minimum(
-            np.abs(gv[..., 1] - gv[..., 0]), np.abs(gv[..., 3] - gv[..., 2])
-        )
-        gwin = np.where(win_in & ~dmask.any(axis=-1), ginc, 0.0)
+        ginc = np.minimum(np.abs(v[..., 5] - v0), np.abs(v[..., 2] - v[..., 3]))
+        gwin = np.where(win_in & ~bent, ginc, 0.0)
         _add_signed(LU, direction, np.maximum(inc, np.maximum(dwin, gwin)), up_i)
 
     L, U = LU

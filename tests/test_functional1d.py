@@ -5,7 +5,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from nugamma import functional1d
 from nugamma.bvmodel import (
     BVFunction1D,
     JumpPiece,
@@ -25,6 +27,7 @@ from nugamma.functional1d import (
     _clusters,
     _reduced_lam,
     _split_wave,
+    _wave_bounds,
     ExceedanceQuery,
     ZeroVariationError,
     classify_box,
@@ -107,6 +110,11 @@ def test_constant_sections_share_the_refinement():
     assert f_enclosures_batch([], 1.0, 10.0) == []
 
 
+#: A quintic with two interior extrema (near 0.134 and 0.512) and two
+#: inflection points (near 0.307 and 0.903).
+QUINTIC = (0.0, 3.0, -15.0, 20.0, -5.0, -2.0)
+
+
 def test_batch_tables_pad_inertly():
     funcs = [
         single_jump(2.0, 1.0),
@@ -135,6 +143,37 @@ def test_batch_tables_pad_inertly():
     assert B.pvar.tolist() == [[False], [True], [False]]
     assert np.isnan(B.pcrit[[0, 2]]).all() and np.isnan(B.pdcrit[[0, 2]]).all()
     assert np.isinf(B.feat[0, 1:]).all() and np.isinf(B.feat[2]).all()
+    # The tabled values at the critical and inflection points are P and
+    # |P'| there, and NaN in padded slots.
+    prof = funcs[1].pieces[1].profile
+    crit, dcrit = np.array(prof.crit), np.array(prof.dcrit)
+    assert B.pcval[1, 0].tolist() == npoly.polyval(crit, prof.coeffs).tolist()
+    dval = np.abs(npoly.polyval(dcrit, npoly.polyder(prof.coeffs)))
+    assert B.pdval[1, 0].tolist() == dval.tolist()
+    assert np.isnan(B.pcval[[0, 2]]).all() and np.isnan(B.pdval[[0, 2]]).all()
+    # Padded slots never enter a bound: beside a quintic, a cubic's row is
+    # padded in its coefficients, inflection points and their values, and
+    # gains an inert second polynomial slot, and its bounds do not move.
+    cubic = BVFunction1D(pieces=(funcs[1].pieces[1],))
+    quintic = BVFunction1D(
+        pieces=(
+            polynomial_piece(0.0, 1.0, QUINTIC),
+            polynomial_piece(1.5, 2.0, (0.0, 1.0, -1.0)),
+        )
+    )
+    alone, padded = _Batch([cubic]), _Batch([quintic, cubic])
+    assert padded.pcrit.shape[1:] == (2, 2) and padded.pdcrit.shape[1:] == (2, 2)
+    assert np.isnan(padded.pcval[1, 1]).all() and np.isnan(padded.pdval[1, 0, 1])
+    rng = np.random.default_rng(3)
+    n = 4000
+    x0 = rng.uniform(-0.5, 1.5, n)
+    x1 = x0 + 10.0 ** rng.uniform(-6.0, 0.0, n)
+    h0 = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-6.0, 0.0, n))
+    h1 = h0 + 10.0 ** rng.uniform(-6.0, 0.0, n)
+    ref = _wave_bounds(alone, np.zeros(n, dtype=np.intp), x0, x1, h0, h1)
+    got = _wave_bounds(padded, np.ones(n, dtype=np.intp), x0, x1, h0, h1)
+    for r, g in zip(ref, got):
+        assert np.array_equal(r, g)
 
 
 def test_ramp_exceedance_measure_small_lambda_band():
@@ -166,6 +205,29 @@ def test_batch_order_and_determinism():
     assert out1[2].hi == 0.0
     # Height 2 jump carries more mass than height 1 at the same lambda.
     assert out1[1].lo > out1[0].hi
+
+
+def test_wave_slicing_is_invisible(monkeypatch):
+    # Every box's bounds depend on that box alone, so slicing a wave into
+    # 7-box pieces gives the enclosures of the default slice, bit for bit,
+    # for every piece kind.
+    funcs = [
+        single_jump(1.0),
+        BVFunction1D(pieces=(JumpPiece(0.0, 1.0), JumpPiece(0.05, -1.0))),
+        BVFunction1D(pieces=(affine_ramp(0.0, 1.0, 1.0), JumpPiece(0.5, 0.5))),
+        BVFunction1D(pieces=(smoothstep_piece(0.0, 1.0, -1.0),)),
+        BVFunction1D(pieces=(sine_ramp(0.0, 1.0, 1.0),)),
+        BVFunction1D(pieces=(cantor_piece(0.0, 1.0, 1.0), affine_ramp(1.0, 2.0, 0.5))),
+        BVFunction1D(pieces=(polynomial_piece(0.0, 1.0, (0.0, 1.0, -3.0, 2.0)),)),
+    ]
+
+    def run():
+        encs = f_enclosures_batch(funcs, 1.0, 20.0, tol=0.05, max_depth=12)
+        return [(e.lo.hex(), e.hi.hex(), e.tol_met) for e in encs]
+
+    default = run()
+    monkeypatch.setattr(functional1d, "_WAVE_CHUNK", 7)
+    assert run() == default
 
 
 def test_lambda_monotone_exceedance_measure():
@@ -533,6 +595,10 @@ def test_pair_increment_bounds_bracket_samples():
             polynomial_piece(0.0, 1.0, [0.0, 1.0, -3.0, 2.0]),
             JumpPiece(location=0.6, height=0.3),
         ),
+        # An extremum at 1/2 with inflections at (3 +- sqrt(3))/6, and two
+        # interior extrema, so boxes meet tabled critical values.
+        (polynomial_piece(0.0, 1.0, (0.0, 0.0, 1.0, -2.0, 1.0)),),
+        (polynomial_piece(0.0, 1.0, QUINTIC),),
     ]
     for pieces in families:
         u = BVFunction1D(pieces=pieces)
