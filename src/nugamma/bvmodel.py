@@ -170,30 +170,42 @@ def cantor_eval_array(values: np.ndarray) -> np.ndarray:
 _SHAPE_CODE = {"affine": 1, "smoothstep": 2, "sine": 3}
 
 
-def _shape_unit(code: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unit ramp s(t) elementwise, for shape codes broadcast like ``t``."""
-    out = t.copy()
-    m = code == 2
-    if m.any():
-        ts = t[m]
-        out[m] = ts * ts * (3.0 - 2.0 * ts)
-    m = code == 3
-    if m.any():
-        out[m] = 0.5 * (1.0 - np.cos(np.pi * t[m]))
+def _shape_unit(code, t: np.ndarray, shapes: Sequence[int]) -> np.ndarray:
+    """Unit ramp s(t) elementwise.
+
+    ``shapes`` lists the shape codes that ``code`` holds.  With one, its
+    formula is evaluated everywhere and ``code`` is not read; with
+    several, ``np.where`` selects among their formulas by ``code``,
+    broadcast like ``t``.  Any other code reads as the first shape.
+    """
+    out = _unit_formula(shapes[0], t)
+    for c in shapes[1:]:
+        out = np.where(code == c, _unit_formula(c, t), out)
     return out
 
 
-def _shape_deriv(code: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _shape_deriv(code, t: np.ndarray, shapes: Sequence[int]) -> np.ndarray:
     """Unit ramp derivative s'(t) elementwise, as :func:`_shape_unit`."""
-    out = np.ones_like(t)
-    m = code == 2
-    if m.any():
-        ts = t[m]
-        out[m] = 6.0 * ts * (1.0 - ts)
-    m = code == 3
-    if m.any():
-        out[m] = 0.5 * np.pi * np.sin(np.pi * t[m])
+    out = _deriv_formula(shapes[0], t)
+    for c in shapes[1:]:
+        out = np.where(code == c, _deriv_formula(c, t), out)
     return out
+
+
+def _unit_formula(code: int, t: np.ndarray) -> np.ndarray:
+    if code == 2:
+        return t * t * (3.0 - 2.0 * t)
+    if code == 3:
+        return 0.5 * (1.0 - np.cos(np.pi * t))
+    return t.copy()
+
+
+def _deriv_formula(code: int, t: np.ndarray) -> np.ndarray:
+    if code == 2:
+        return 6.0 * t * (1.0 - t)
+    if code == 3:
+        return 0.5 * np.pi * np.sin(np.pi * t)
+    return np.ones_like(t)
 
 
 @dataclass(frozen=True)
@@ -216,8 +228,8 @@ class ShapedRamp:
             raise ValueError("ramp rise must be finite and nonzero")
 
     def unit(self, t):
-        t = np.asarray(t, dtype=float)
-        return _shape_unit(np.full(t.shape, _SHAPE_CODE[self.shape]), t)
+        code = _SHAPE_CODE[self.shape]
+        return _shape_unit(code, np.asarray(t, dtype=float), (code,))
 
     def value0(self, t):
         """Profile value relative to t = 0."""

@@ -106,8 +106,10 @@ __all__ = [
 DEFAULT_TOL_SCALE = 1e-4
 
 #: Boxes classified per vectorised slice, sized so that the temporaries
-#: of :func:`_wave_bounds` stay in a core's cache.  Peak memory is set by
-#: the wave's own arrays, not by the slice.
+#: of :func:`_wave_bounds` stay in a core's cache.  Those keep the box
+#: axis last and contiguous, since numpy loops over a short trailing axis
+#: once per box.  Peak memory is set by the wave's own arrays, not by the
+#: slice.
 _WAVE_CHUNK = 1 << 13
 
 #: Hard cap on simultaneously alive boxes.  Beyond it the smallest-mass
@@ -183,7 +185,10 @@ def truncation_radius(variation, lam: float, gamma) -> float:
 
     For |u(y) - u(x)| <= V the exceedance condition fails whenever
     h >= (V / lam)^(1 / (1 + gamma)).  Accepts the total variation as a
-    number or any object with a ``total_variation`` attribute.
+    number or any object with a ``total_variation`` attribute.  Where
+    V / lam overflows or underflows, the power is taken through logs;
+    raises ValueError when the radius itself is not a positive finite
+    float.
     """
     g = as_gamma(gamma)
     v = getattr(variation, "total_variation", variation)
@@ -195,7 +200,19 @@ def truncation_radius(variation, lam: float, gamma) -> float:
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be a finite positive number")
-    return (v / lam) ** (1.0 / (1.0 + g))
+    e = 1.0 / (1.0 + g)
+    q = v / lam
+    if math.isfinite(q) and q > 0.0:
+        return q**e
+    try:
+        r = math.exp(e * (math.log(v) - math.log(lam)))
+    except OverflowError:
+        r = math.inf
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(
+            f"truncation radius of variation {v!r} at lam {lam!r} is not a finite float"
+        )
+    return r
 
 
 def closed_form_jump_F(height: float, gamma) -> float:
@@ -215,15 +232,15 @@ def closed_form_jump_F(height: float, gamma) -> float:
 
 
 def _polyval_grid(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate polynomials with trailing-axis coefficients on a grid.
+    """Evaluate polynomials on a grid by Horner's rule.
 
-    ``coef`` has shape (..., D) and ``t`` shape (..., M) sharing the
-    leading axes; the result has the shape of ``t``.
+    ``coef[k]`` holds the coefficients of t^k, broadcast against ``t``;
+    the result has the shape of ``t``.
     """
     r = np.zeros_like(t)
-    for k in range(coef.shape[-1] - 1, -1, -1):
+    for c in coef[::-1]:
         r *= t
-        r += coef[..., k, None]
+        r += c
     return r
 
 
@@ -319,6 +336,9 @@ class _Batch:
         # Non-affine ramps have varying slope, so boxes overlapping them
         # benefit from x-refinement (localising the derivative window).
         self.svar = _table(rows(shaped, lambda p: p.profile.shape != "affine"), False, bool)
+        # The shape codes held, so a batch of one shape evaluates only its
+        # formula (padded slots have zero rise and read as any shape).
+        self.shapes = sorted({_SHAPE_CODE[p.profile.shape] for v in shaped for p in v})
 
         self.ca = _table(rows(cantor, lambda p: p.support[0]), 0.0)
         self.cb = _table(rows(cantor, lambda p: p.support[1]), 1.0)
@@ -335,8 +355,8 @@ class _Batch:
         self.pder = _table(der, 0.0, tail=(D,))
         self.pcrit = _table(rows(poly, lambda p: p.profile.crit), np.nan, tail=(C,))
         self.pdcrit = _table(rows(poly, lambda p: p.profile.dcrit), np.nan, tail=(C2,))
-        self.pcval = _polyval_grid(self.pcoef, self.pcrit)
-        self.pdval = np.abs(_polyval_grid(self.pder, self.pdcrit))
+        self.pcval = _polyval_grid(np.moveaxis(self.pcoef, -1, 0)[..., None], self.pcrit)
+        self.pdval = np.abs(_polyval_grid(np.moveaxis(self.pder, -1, 0)[..., None], self.pdcrit))
         self.pvar = (self.pder[..., 1:] != 0.0).any(axis=-1)
 
         self.feat = _table(feats, np.inf)
@@ -371,12 +391,21 @@ def _holder_cap(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(table: np.ndarray, sid: np.ndarray) -> np.ndarray:
+    """Rows ``sid`` of a batch table of shape (S, K, ...), laid out
+    contiguously as (K, ..., W) with the box axis last."""
+    return np.ascontiguousarray(np.moveaxis(np.take(table, sid, axis=0), 0, -1))
+
+
 def _fold(op, a, out):
-    """Reduce the last axis of ``a`` into ``out`` with an exact binary ufunc
-    ``op`` (max, min, or), column by column: numpy reduces a short trailing
-    axis row by row, tens of times slower."""
-    for k in range(a.shape[-1]):
-        out = op(out, a[..., k])
+    """Reduce the leading axis of ``a`` into ``out`` with the binary ufunc
+    ``op``, one entry at a time from the first.
+
+    For a sum this pins the order left to right; numpy's own sum pairs
+    the terms differently from 8 of them on.
+    """
+    for row in a:
+        out = op(out, row)
     return out
 
 
@@ -385,11 +414,15 @@ def _add_signed(LU, s, low, up):
 
     ``low`` and ``up`` bound each piece's |increment| over a box and
     ``s`` is the piece's direction on the pair span (only its sign is
-    read).  An increasing piece moves by [low, up], a decreasing one by
-    [-up, -low], and one not known to be monotone (s = 0) by [-up, up].
+    read), each of shape (K, W).  An increasing piece moves by
+    [low, up], a decreasing one by [-up, -low], and one not known to be
+    monotone (s = 0) by [-up, up].  A family's K intervals are summed
+    left to right before they join ``LU``.
     """
-    LU[0] += np.where(s > 0, low, -up).sum(axis=1)
-    LU[1] += np.where(s < 0, -low, up).sum(axis=1)
+    L = np.where(s > 0, low, -up)
+    U = np.where(s < 0, -low, up)
+    LU[0] += _fold(np.add, L[1:], L[0])
+    LU[1] += _fold(np.add, U[1:], U[0])
 
 
 def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
@@ -412,6 +445,12 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     these intervals, so |u(x+h) - u(x)| lies in
     [max(0, L, -U), max(U, -L)]: same-direction pieces add, and opposite
     ones cancel, e.g. two opposite jumps that every pair straddles.
+
+    Layout: the box axis is last and contiguous in every temporary,
+    (K, W) per piece slot, (K, M, W) for a grid of M points, and each
+    table is gathered once (:func:`_gather`).  numpy runs an elementwise
+    op or a reduction over a short trailing axis as one tiny inner loop
+    per box, several times slower than one long loop over the boxes.
     """
     W = x0.size
     span_hi = x1 + h1
@@ -419,136 +458,148 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     core_hi = x0 + h0
     core_ok = core_hi > core_lo
     win_hi = x1 + h0
+    thin_ok = h0 > 0.0
 
     LU = np.zeros((2, W))
     xfeat = np.zeros(W, dtype=bool)
     xsmooth = np.zeros(W, dtype=bool)
 
     if B.Kf:
-        f = B.feat[sid]
-        xfeat = _fold(np.logical_or, (f > x0[:, None]) & (f < span_hi[:, None]), xfeat)
+        f = _gather(B.feat, sid)
+        xfeat = _fold(np.logical_or, (f > x0) & (f < span_hi), xfeat)
 
     if B.Kj:
-        jl = B.jloc[sid]
-        jh = B.jh[sid]
+        jl = _gather(B.jloc, sid)
+        jh = _gather(B.jh, sid)
         ja = np.abs(jh)
-        poss = (x0[:, None] < jl) & (jl <= span_hi[:, None])
-        always = (core_lo[:, None] < jl) & (jl <= core_hi[:, None])
+        poss = (x0 < jl) & (jl <= span_hi)
+        always = (core_lo < jl) & (jl <= core_hi)
         _add_signed(LU, jh, np.where(always, ja, 0.0), np.where(poss, ja, 0.0))
 
     if B.Ks:
-        a = B.sa[sid]
-        b = B.sb[sid]
+        a = _gather(B.sa, sid)
+        b = _gather(B.sb, sid)
         w = b - a
-        rise = B.srise[sid]
-        code = B.scode[sid]
-        near = (a < span_hi[:, None]) & (b > x0[:, None])
-        xsmooth = _fold(np.logical_or, B.svar[sid] & near, xsmooth)
-        t0 = np.clip((x0[:, None] - a) / w, 0.0, 1.0)
-        t1 = np.clip((span_hi[:, None] - a) / w, 0.0, 1.0)
-        osc = np.abs(rise) * (_shape_unit(code, t1) - _shape_unit(code, t0))
-        ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
-        win = np.minimum(h1[:, None], np.maximum(ov, 0.0))
+        rise = _gather(B.srise, sid)
+        ar = np.abs(rise)
+        code = _gather(B.scode, sid) if len(B.shapes) > 1 else None
+
+        def unit(t):
+            return _shape_unit(code, t, B.shapes)
+
+        def deriv(t):
+            return _shape_deriv(code, t, B.shapes)
+
+        near = (a < span_hi) & (b > x0)
+        xsmooth = _fold(np.logical_or, _gather(B.svar, sid) & near, xsmooth)
+        # The profile at the span ends t0, t1, the core ends tc0 = t(x1)
+        # and tc1 = t(x0 + h0), and the window's far end tw1 = t(x1 + h0).
+        t0 = np.clip((x0 - a) / w, 0.0, 1.0)
+        t1 = np.clip((span_hi - a) / w, 0.0, 1.0)
+        tc0 = np.clip((core_lo - a) / w, 0.0, 1.0)
+        tc1 = np.clip((core_hi - a) / w, 0.0, 1.0)
+        tw1 = np.clip((win_hi - a) / w, 0.0, 1.0)
+        s0, s1, sc0, sc1, sw1 = (unit(t) for t in (t0, t1, tc0, tc1, tw1))
+        d0, dw1 = deriv(t0), deriv(tw1)
+        osc = ar * (s1 - s0)
+        ov = np.minimum(span_hi, b) - np.maximum(x0, a)
+        win = np.minimum(h1, np.maximum(ov, 0.0))
         # Local slope cap: the unit derivative is unimodal, so its max
         # over the span's t range sits at an end or at the clamped peak.
-        tm = np.clip(0.5, t0, t1)
-        smax = np.maximum(
-            np.maximum(_shape_deriv(code, t0), _shape_deriv(code, t1)),
-            _shape_deriv(code, tm),
-        )
-        up_i = np.minimum(osc, np.abs(rise) * smax / w * win)
-        tc0 = np.clip((core_lo[:, None] - a) / w, 0.0, 1.0)
-        tc1 = np.clip((core_hi[:, None] - a) / w, 0.0, 1.0)
-        inc = np.abs(rise) * (_shape_unit(code, tc1) - _shape_unit(code, tc0))
-        inc = np.where(core_ok[:, None], np.maximum(inc, 0.0), 0.0)
+        smax = np.maximum(np.maximum(d0, deriv(t1)), deriv(np.clip(0.5, t0, t1)))
+        up_i = np.minimum(osc, ar * smax / w * win)
+        inc = np.where(core_ok, np.maximum(ar * (sc1 - sc0), 0.0), 0.0)
         # Exact minimum pair increment at separation h0: the clipped
         # profile is monotone with a unimodal extended derivative, so
         # x -> F(x + h0) - F(x) is quasi-concave and attains its minimum
         # at an end of the box's x range.  Two evaluations certify it.
-        th0 = np.clip(((x0 + h0)[:, None] - a) / w, 0.0, 1.0)
-        tx1 = np.clip((x1[:, None] - a) / w, 0.0, 1.0)
-        tw1 = np.clip((win_hi[:, None] - a) / w, 0.0, 1.0)
-        inc_lo = _shape_unit(code, th0) - _shape_unit(code, t0)
-        inc_hi = _shape_unit(code, tw1) - _shape_unit(code, tx1)
-        dwin = np.abs(rise) * np.minimum(inc_lo, inc_hi)
+        dwin = ar * np.minimum(sc1 - s0, sw1 - sc0)
         # Multiplicative floor for the same minimum: h0 times the least
         # slope over the window hull (at a hull end, the derivative
         # being unimodal).  The endpoint differences above quantise to
         # zero once h0 drops below one ulp of the x coordinates; this
         # product form cannot, so thin boxes deep inside the exceedance
         # region still certify.  Valid only for unclipped windows.
-        win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
-        smin = np.minimum(_shape_deriv(code, t0), _shape_deriv(code, tw1))
-        dmul = np.where(win_in, np.abs(rise) * (h0[:, None] / w) * smin, 0.0)
+        win_in = (x0 >= a) & (win_hi <= b) & thin_ok
+        dmul = np.where(win_in, ar * (h0 / w) * np.minimum(d0, dw1), 0.0)
         _add_signed(LU, rise, np.maximum(inc, np.maximum(dwin, dmul)), up_i)
 
     if B.Kc:
-        a = B.ca[sid]
-        b = B.cb[sid]
+        a = _gather(B.ca, sid)
+        b = _gather(B.cb, sid)
         w = b - a
-        crise = B.crise[sid]
+        crise = _gather(B.crise, sid)
         r = np.abs(crise)
-        near = (a < span_hi[:, None]) & (b > x0[:, None])
+        near = (a < span_hi) & (b > x0)
         xfeat = _fold(np.logical_or, (r > 0.0) & near, xfeat)
-        ts0 = np.clip((x0[:, None] - a) / w - _TNUDGE, 0.0, 1.0)
-        ts1 = np.clip((span_hi[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
-        tc0 = np.clip((core_lo[:, None] - a) / w + _TNUDGE, 0.0, 1.0)
-        tc1 = np.clip((core_hi[:, None] - a) / w - _TNUDGE, 0.0, 1.0)
+        ts0 = np.clip((x0 - a) / w - _TNUDGE, 0.0, 1.0)
+        ts1 = np.clip((span_hi - a) / w + _TNUDGE, 0.0, 1.0)
+        tc0 = np.clip((core_lo - a) / w + _TNUDGE, 0.0, 1.0)
+        tc1 = np.clip((core_hi - a) / w - _TNUDGE, 0.0, 1.0)
         cv = cantor_eval_array(np.stack([ts0, ts1, tc0, tc1]))
         osc = r * np.maximum(cv[1] - cv[0], 0.0)
-        ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
-        tau = np.minimum(h1[:, None], np.maximum(ov, 0.0)) / w
-        inc = np.where(core_ok[:, None], r * np.maximum(cv[3] - cv[2], 0.0), 0.0)
+        ov = np.minimum(span_hi, b) - np.maximum(x0, a)
+        tau = np.minimum(h1, np.maximum(ov, 0.0)) / w
+        inc = np.where(core_ok, r * np.maximum(cv[3] - cv[2], 0.0), 0.0)
         _add_signed(LU, crise, inc, np.minimum(osc, _holder_cap(r, tau)))
 
     if B.Kp:
-        a = B.pa[sid]
-        b = B.pb[sid]
+        a = _gather(B.pa, sid)
+        b = _gather(B.pb, sid)
         w = b - a
-        near = (a < span_hi[:, None]) & (b > x0[:, None])
-        xsmooth = _fold(np.logical_or, B.pvar[sid] & near, xsmooth)
+        near = (a < span_hi) & (b > x0)
+        xsmooth = _fold(np.logical_or, _gather(B.pvar, sid) & near, xsmooth)
         # One Horner pass evaluates P at the box's points, in the piece's
         # coordinate t = (x - a) / w clipped to [0, 1]: the span ends t0
-        # and t1, the window's far end tw1 (at x1 + h0), the core ends
-        # tc0 = t(x1) and tc1, and t(x0 + h0).  A second one evaluates
-        # |P'| at the first three.  P at the critical points and |P'| at
-        # the inflection points come from the batch's tables; a candidate
+        # and t1, the window's far end tw1 (at x1 + h0) and the core ends
+        # tc0 = t(x1) and tc1 = t(x0 + h0).  A second one evaluates |P'|
+        # at the first three.  P at the critical points and |P'| at the
+        # inflection points come from the batch's tables; a candidate
         # counts where it lies strictly inside the range at hand, and its
         # NaN padding never does.
-        pts = np.stack([x0, span_hi, win_hi, core_lo, core_hi, x0 + h0], axis=-1)
-        t = np.clip((pts[:, None, :] - a[..., None]) / w[..., None], 0.0, 1.0)
-        v = _polyval_grid(B.pcoef[sid], t)
-        dv = np.abs(_polyval_grid(B.pder[sid], t[..., :3]))
-        t0, t1, tw1 = t[..., 0, None], t[..., 1, None], t[..., 2, None]
-        crit, cval = B.pcrit[sid], B.pcval[sid]
-        dcrit, dval = B.pdcrit[sid], B.pdval[sid]
-        cmask = (crit > t0) & (crit < t1)
-        smask = (dcrit > t0) & (dcrit < t1)
-        dmask = (dcrit > t0) & (dcrit < tw1)
-        v0, v1 = v[..., 0], v[..., 1]
-        vmax = _fold(np.maximum, np.where(cmask, cval, -np.inf), np.maximum(v0, v1))
-        vmin = _fold(np.minimum, np.where(cmask, cval, np.inf), np.minimum(v0, v1))
+        t = np.stack([x0, span_hi, win_hi, core_lo, core_hi]) - a[:, None]
+        t /= w[:, None]
+        np.clip(t, 0.0, 1.0, out=t)
+        v = _polyval_grid(np.moveaxis(_gather(B.pcoef, sid), 1, 0)[:, :, None], t)
+        dv = _polyval_grid(np.moveaxis(_gather(B.pder, sid), 1, 0)[:, :, None], t[:, :3])
+        np.abs(dv, out=dv)
+        t0, t1, tw1 = t[:, 0], t[:, 1], t[:, 2]
+        v0, v1, vw1, vc0, vc1 = v.swapaxes(0, 1)
+        d0, d1, dw1 = dv.swapaxes(0, 1)
+        vmax, vmin = np.maximum(v0, v1), np.minimum(v0, v1)
+        turn = np.False_
+        crit, cval = _gather(B.pcrit, sid), _gather(B.pcval, sid)
+        for k in range(crit.shape[1]):
+            m = (crit[:, k] > t0) & (crit[:, k] < t1)
+            vmax = np.maximum(vmax, np.where(m, cval[:, k], -np.inf))
+            vmin = np.minimum(vmin, np.where(m, cval[:, k], np.inf))
+            turn = turn | m
         # |P'| peaks over the span at an end or an inflection point, and
         # is least over the window hull at an end or one inside it.
-        d0, d1, dw1 = dv[..., 0], dv[..., 1], dv[..., 2]
-        smax = _fold(np.maximum, np.where(smask, dval, -np.inf), np.maximum(d0, d1))
-        dmin = _fold(np.minimum, np.where(dmask, dval, np.inf), np.minimum(d0, dw1))
+        smax, dmin = np.maximum(d0, d1), np.minimum(d0, dw1)
+        bent = np.False_
+        dcrit, dval = _gather(B.pdcrit, sid), _gather(B.pdval, sid)
+        for k in range(dcrit.shape[1]):
+            above = dcrit[:, k] > t0
+            m = above & (dcrit[:, k] < tw1)
+            smax = np.maximum(smax, np.where(above & (dcrit[:, k] < t1), dval[:, k], -np.inf))
+            dmin = np.minimum(dmin, np.where(m, dval[:, k], np.inf))
+            bent = bent | m
         # With an extremum inside the span the piece is not monotone
         # there, so its lower bounds are discarded.
-        direction = np.where(_fold(np.logical_or, cmask, np.False_), 0.0, v1 - v0)
-        bent = _fold(np.logical_or, dmask, np.False_)
-        ov = np.minimum(span_hi[:, None], b) - np.maximum(x0[:, None], a)
-        win = np.minimum(h1[:, None], np.maximum(ov, 0.0))
+        direction = np.where(turn, 0.0, v1 - v0)
+        ov = np.minimum(span_hi, b) - np.maximum(x0, a)
+        win = np.minimum(h1, np.maximum(ov, 0.0))
         up_i = np.minimum(vmax - vmin, smax / w * win)
-        inc = np.where(core_ok[:, None], np.abs(v[..., 4] - v[..., 3]), 0.0)
+        inc = np.where(core_ok, np.abs(vc1 - vc0), 0.0)
         # The least pair increment at separation h0 is at least h0 times
         # the least slope over the window hull [x0, x1 + h0].  With no
         # inflection point in the hull the derivative is monotone there,
         # so x -> P(x + h0) - P(x) is too and its minimum sits at an end
         # of the x range, which beats the product where the slope varies.
-        win_in = (x0[:, None] >= a) & (win_hi[:, None] <= b) & (h0 > 0.0)[:, None]
-        dwin = np.where(win_in, h0[:, None] * dmin / w, 0.0)
-        ginc = np.minimum(np.abs(v[..., 5] - v0), np.abs(v[..., 2] - v[..., 3]))
+        win_in = (x0 >= a) & (win_hi <= b) & thin_ok
+        dwin = np.where(win_in, h0 * dmin / w, 0.0)
+        ginc = np.minimum(np.abs(vc1 - v0), np.abs(vw1 - vc0))
         gwin = np.where(win_in & ~bent, ginc, 0.0)
         _add_signed(LU, direction, np.maximum(inc, np.maximum(dwin, gwin)), up_i)
 

@@ -47,6 +47,11 @@ def test_truncation_radius_frozen():
     assert truncation_radius(1.0, 8.0, 3.0) == pytest.approx(0.125**0.25, rel=1e-12)
     # Any object exposing total_variation works too.
     assert truncation_radius(single_jump(1.0), 100.0, 1.0) == pytest.approx(0.1)
+    # V / lam overflows, but the radius is a float.
+    assert truncation_radius(1e300, 1e-300, 1.0) == pytest.approx(1e300, rel=1e-12)
+    # The radius underflows: 0 would claim that no pair exceeds.
+    with pytest.raises(ValueError, match="not a finite float"):
+        truncation_radius(1e-300, 1e300, 0.01)
 
 
 def test_truncation_radius_zero_variation():
@@ -209,8 +214,8 @@ def test_batch_order_and_determinism():
 
 def test_wave_slicing_is_invisible(monkeypatch):
     # Every box's bounds depend on that box alone, so slicing a wave into
-    # 7-box pieces gives the enclosures of the default slice, bit for bit,
-    # for every piece kind.
+    # 7-box or 1-box pieces gives the enclosures of the default slice, bit
+    # for bit, for every piece kind.
     funcs = [
         single_jump(1.0),
         BVFunction1D(pieces=(JumpPiece(0.0, 1.0), JumpPiece(0.05, -1.0))),
@@ -226,8 +231,91 @@ def test_wave_slicing_is_invisible(monkeypatch):
         return [(e.lo.hex(), e.hi.hex(), e.tol_met) for e in encs]
 
     default = run()
-    monkeypatch.setattr(functional1d, "_WAVE_CHUNK", 7)
-    assert run() == default
+    for chunk in (7, 1):
+        monkeypatch.setattr(functional1d, "_WAVE_CHUNK", chunk)
+        assert run() == default
+
+
+def _random_boxes(rng, n, lo, hi):
+    """n boxes with x0 in [lo, hi], some of them thin and some at h0 = 0."""
+    x0 = rng.uniform(lo, hi, n)
+    x1 = x0 + 10.0 ** rng.uniform(-7.0, 0.0, n)
+    h0 = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-7.0, 0.5, n))
+    h1 = h0 + 10.0 ** rng.uniform(-7.0, 0.5, n)
+    return x0, x1, h0, h1
+
+
+def test_mixed_rows_bound_each_box_as_its_row_alone():
+    # The tables are gathered per box, so a wave that interleaves rows of
+    # every kind, with mixed ramp shapes in one slot and polynomials of
+    # different critical-point counts, bounds each box exactly as a batch
+    # of its row alone does.
+    rows = [
+        BVFunction1D((JumpPiece(0.1, 1.0), JumpPiece(0.4, -0.7), JumpPiece(0.45, 2.0))),
+        BVFunction1D((affine_ramp(0.0, 1.0, 2.0), smoothstep_piece(0.5, 0.9, -1.0))),
+        BVFunction1D((sine_ramp(0.0, 1.0, -1.0), JumpPiece(0.3, 0.5))),
+        BVFunction1D((smoothstep_piece(0.2, 0.6, 1.0), sine_ramp(0.6, 0.8, 0.3))),
+        BVFunction1D((cantor_piece(0.0, 1.0, 1.0), cantor_piece(0.5, 0.8, -0.4))),
+        BVFunction1D((polynomial_piece(0.0, 1.0, QUINTIC),)),
+        BVFunction1D(
+            (
+                polynomial_piece(0.0, 1.0, (0.0, 1.0, -3.0, 2.0)),
+                polynomial_piece(0.5, 1.5, (0.0, 2.0, -1.0)),
+                affine_ramp(0.2, 0.7, -1.0),
+                cantor_piece(0.1, 0.3, 0.2),
+            )
+        ),
+        BVFunction1D((polynomial_piece(0.0, 1.0, (0.0, 1.0)), sine_ramp(1.0, 2.0, 1.0))),
+    ]
+    rng = np.random.default_rng(5)
+    n = 3000
+    sid = rng.integers(0, len(rows), n)
+    x0, x1, h0, h1 = _random_boxes(rng, n, -0.5, 1.5)
+    got = _wave_bounds(_Batch(rows), sid, x0, x1, h0, h1)
+    for k, u in enumerate(rows):
+        m = sid == k
+        zero = np.zeros(m.sum(), dtype=np.intp)
+        alone = _wave_bounds(_Batch([u]), zero, x0[m], x1[m], h0[m], h1[m])
+        for g, r in zip(got, alone):
+            assert g[m].tobytes() == r.tobytes(), u
+
+
+@pytest.mark.parametrize("family", ["jump", "polynomial"])
+def test_pieces_sum_left_to_right(family):
+    # A row's signed intervals are summed left to right over its pieces of
+    # one family, however many there are; numpy's own sum pairs them from
+    # 8 terms on.  Each piece is monotone, so its interval follows from its
+    # bounds, read off a batch of that piece alone.  Such a batch stores
+    # locations relative to the piece's own start, so every coordinate
+    # sits on a grid of 2^-30, where the shifts and sums are exact.
+    rng = np.random.default_rng(11)
+    for n_pieces in (9, 12):
+        size = np.where(rng.random(n_pieces) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(
+            -6.0, 6.0, n_pieces
+        )
+        starts = 0.25 * np.arange(n_pieces)
+        if family == "jump":
+            pieces = [JumpPiece(a, c) for a, c in zip(starts.tolist(), size.tolist())]
+        else:
+            pieces = [
+                polynomial_piece(a, a + 0.125, (0.0, c))
+                for a, c in zip(starts.tolist(), size.tolist())
+            ]
+        n = 2000
+        boxes = _random_boxes(rng, n, -0.5, 0.25 * n_pieces)
+        x0, x1, h0, h1 = (np.round(v * 2.0**30) / 2.0**30 for v in boxes)
+        zero = np.zeros(n, dtype=np.intp)
+        up, low, _, _ = _wave_bounds(_Batch([BVFunction1D(tuple(pieces))]), zero, x0, x1, h0, h1)
+        ends = []
+        for p, a, c in zip(pieces, starts, size):
+            B = _Batch([BVFunction1D((p,))])
+            p_up, p_low, _, _ = _wave_bounds(B, zero, x0 - a, x1 - a, h0, h1)
+            ends.append((p_low, p_up) if c > 0 else (-p_up, -p_low))
+        for i in range(n):
+            L, U = ends[0][0][i], ends[0][1][i]
+            for lo_k, up_k in ends[1:]:
+                L, U = L + lo_k[i], U + up_k[i]
+            assert (up[i], low[i]) == (max(U, -L), max(L, -U, 0.0)), (n_pieces, i)
 
 
 def test_lambda_monotone_exceedance_measure():
