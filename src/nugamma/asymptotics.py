@@ -135,8 +135,10 @@ def lambda_sweep(
 ) -> SweepResult:
     """Evaluate the functional on a geometric grid of threshold slopes.
 
-    Bad arguments raise before any evaluation; a ValueError from the
-    engine at one grid point is recorded in ``failures`` instead.
+    The grid is one engine call, with one slope per copy of ``u``.  Bad
+    arguments raise before any evaluation.  When the engine raises a
+    ValueError, each grid point is evaluated again alone, and a point
+    that still raises is recorded in ``failures`` instead.
     """
     if not (0.0 < lam_min <= lam_max) or not math.isfinite(lam_max):
         raise ValueError("need 0 < lam_min <= lam_max, both finite")
@@ -145,18 +147,21 @@ def lambda_sweep(
     if points == 1 and lam_min != lam_max:
         raise ValueError("a single-point sweep needs lam_min == lam_max")
     q = ExceedanceQuery(gamma, lam_min, tol, max_depth)
-    lams = np.geomspace(lam_min, lam_max, points)
-    encs: list[Enclosure | None] = []
+    lams = np.geomspace(lam_min, lam_max, points).tolist()
     failures: list[tuple[float, str]] = []
-    for lam in lams:
-        try:
-            encs.append(f_enclosures_batch([u], q.gamma, float(lam), q.tol, q.max_depth)[0])
-        except ValueError as exc:  # the engine's documented failure; record it
-            encs.append(None)
-            failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
-    return SweepResult(
-        tuple(float(v) for v in lams), tuple(encs), q.gamma, function_id, tuple(failures)
-    )
+    try:
+        encs: list[Enclosure | None] = f_enclosures_batch(
+            [u] * points, q.gamma, lams, q.tol, q.max_depth
+        )
+    except ValueError:  # some point fails; find which
+        encs = []
+        for lam in lams:
+            try:
+                encs.append(f_enclosures_batch([u], q.gamma, lam, q.tol, q.max_depth)[0])
+            except ValueError as exc:  # the engine's documented failure; record it
+                encs.append(None)
+                failures.append((lam, f"{type(exc).__name__}: {exc}"))
+    return SweepResult(tuple(lams), tuple(encs), q.gamma, function_id, tuple(failures))
 
 
 def _tail(sweep: SweepResult, tail_fraction: float) -> list[Enclosure]:

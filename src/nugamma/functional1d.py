@@ -18,8 +18,9 @@ outside, or mixed.  Mixed boxes are bisected, the split point on the
 h axis chosen so that both children carry equal kernel mass.  Inside
 mass accumulates into the enclosure's lower end; unresolved mass widens
 the upper end.  All boxes of a run live in flat numpy arrays, so many
-sections (as used by the N-dimensional sectioning estimator) refine in
-the same vectorised wave.
+sections (as used by the N-dimensional sectioning estimator), or one
+function at the many thresholds of a lambda sweep, refine in the same
+vectorised wave.
 
 All bounds here err on the safe side: upper pair bounds only ever
 over-estimate and lower pair bounds under-estimate, so the returned
@@ -112,8 +113,10 @@ DEFAULT_TOL_SCALE = 1e-4
 #: slice.
 _WAVE_CHUNK = 1 << 13
 
-#: Hard cap on simultaneously alive boxes.  Beyond it the smallest-mass
-#: boxes are retired into the enclosure's slack instead of splitting.
+#: Hard cap on simultaneously alive boxes, summed over every row of a
+#: call (all points of a lambda sweep, all sections of a batch).  Beyond
+#: it the smallest-mass boxes are retired into the enclosure's slack
+#: instead of splitting.
 _WAVE_CAP = 3_000_000
 
 #: Outward/inward safety nudge, in normalized-coordinate units, applied
@@ -144,6 +147,15 @@ class ZeroVariationError(ValueError):
     """Raised when a computation needs a nonconstant function."""
 
 
+def _as_lam(value) -> float:
+    """A threshold slope as a float; raises ValueError unless it is finite
+    and positive."""
+    lam = float(value)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be a finite positive number, got {value!r}")
+    return lam
+
+
 class BoxVerdict(Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
@@ -166,10 +178,7 @@ class ExceedanceQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", as_gamma(self.gamma))
-        lam = float(self.lam)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError(f"lam must be a finite positive number, got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _as_lam(self.lam))
         if self.tol is not None:
             t = float(self.tol)
             if not (math.isfinite(t) and t > 0.0):
@@ -659,8 +668,10 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
     h0 = np.zeros(rows.size)
     h1 = H.copy()
     sid = rows
-    depth = np.zeros(rows.size, dtype=np.int32)
 
+    # Roots sit at depth 0 and each wave splits into the next, so every
+    # box alive in a wave is at that wave's depth.
+    depth = 0
     while x0.size:
         W = x0.size
         up = np.empty(W)
@@ -689,11 +700,10 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
             frozen = frozen | freeze_now
 
         keep = mixed & ~frozen[owner[sid]]
-        splittable = keep & (depth < max_depth)
-        capped = keep & ~splittable
-        if capped.any():
-            stuck += np.bincount(sid[capped], weights=mass[capped], minlength=S)
-        idx = np.nonzero(splittable)[0]
+        if depth >= max_depth:
+            stuck += np.bincount(sid[keep], weights=mass[keep], minlength=S)
+            break
+        idx = np.nonzero(keep)[0]
         if idx.size == 0:
             break
         if 2 * idx.size > _WAVE_CAP:
@@ -737,13 +747,12 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
         nh0 = np.concatenate([bh0[xi], bh0[xi], bh0[hi_], hm[hi_]])
         nh1 = np.concatenate([bh1[xi], bh1[xi], hm[hi_], bh1[hi_]])
         par = np.concatenate([idx[xi], idx[xi], idx[hi_], idx[hi_]])
-        nsid = sid[par]
-        ndepth = depth[par] + 1
-        x0, x1, h0, h1, sid, depth = nx0, nx1, nh0, nh1, nsid, ndepth
+        x0, x1, h0, h1, sid = nx0, nx1, nh0, nh1, sid[par]
+        depth += 1
         # Free this wave's arrays before the next, larger wave allocates
         # its own; the deepest waves set the run's peak memory.
         del up, low, xfeat, xsmooth, thr_lo, thr_hi, outside, inside, mass
-        del mixed, keep, splittable, capped, idx, bx0, bx1, bh0, bh1, xm, hk
+        del mixed, keep, idx, bx0, bx1, bh0, bh1, xm, hk
         del hm, ha, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
 
     slack = np.where(frozen[owner], frozen_extra, stuck)
@@ -823,7 +832,8 @@ def _ramp_mass(e, c, g):
 
 
 def _jump_sections_F(B: _Batch, rows, gamma, lam):
-    """Certified enclosures (lo, hi) of F for the jump-only sections ``rows``.
+    """Certified enclosures (lo, hi) of F for the jump-only sections ``rows``
+    at the threshold slopes ``lam``, one per row.
 
     Sort a section's jumps to p_1 <= ... <= p_K, with sentinels
     p_0 = -inf and p_(K+1) = +inf, and let D_ij = J_i + ... + J_j.  The
@@ -862,10 +872,12 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
         D = np.abs(np.cumsum(J[:, i:], axis=1))
         dD = 2.0 * _EPS * (j - i) * np.cumsum(np.abs(J[:, i:]), axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            c_lo, c_hi = _cutoff(*_widen(D, dD), lam, g)
-        if not (np.isfinite(c_lo).all() and np.isfinite(c_hi).all()):
+            c_lo, c_hi = _cutoff(*_widen(D, dD), lam[:, None], g)
+        bad = ~(np.isfinite(c_lo) & np.isfinite(c_hi)).all(axis=1)
+        if bad.any():
             raise ValueError(
-                f"jump cutoff (|J| / lam)^(1/(1+gamma)) overflows at lam {lam!r}"
+                "jump cutoff (|J| / lam)^(1/(1+gamma)) overflows at lam "
+                f"{float(lam[bad][0])!r}"
             )
         ramps = (
             (1.0, p[:, j], p[:, i, None]),
@@ -886,15 +898,19 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
             hi += (sign * q_hi + err_hi).sum(axis=1)
             mag_lo += (np.abs(q_lo) + err_lo).sum(axis=1)
             mag_hi += (np.abs(q_hi) + err_hi).sum(axis=1)
-    # Each end sums n = 2K(K+1) terms, one rounding each on the way in and
-    # at most n - 1 more in the sum, so it errs by less than n u = K(K+1)
-    # eps times the sum of the terms' magnitudes.
-    n_eps = K * (K + 1) * _EPS
+    # With k jumps in a row, each end sums n = 2k(k+1) terms, one rounding
+    # each on the way in and at most n - 1 more in the sum, so it errs by
+    # less than n u = k(k+1) eps times the sum of the terms' magnitudes.
+    # Padded slots add exact zeros, so k counts the row's own jumps and its
+    # enclosure does not depend on the rows batched with it.
+    k = np.isfinite(p).sum(axis=1)
+    n_eps = k * (k + 1) * _EPS
     scale = 2.0 * lam
     F_lo = np.nextafter(scale * np.nextafter(lo - n_eps * mag_lo, -np.inf), -np.inf)
     F_hi = np.nextafter(scale * np.nextafter(hi + n_eps * mag_hi, np.inf), np.inf)
-    if not (np.isfinite(F_lo).all() and np.isfinite(F_hi).all()):
-        raise ValueError(f"jump slab masses are not finite at lam {lam!r}")
+    bad = ~(np.isfinite(F_lo) & np.isfinite(F_hi))
+    if bad.any():
+        raise ValueError(f"jump slab masses are not finite at lam {float(lam[bad][0])!r}")
     moved = mag_hi > 0
     return np.where(moved, np.maximum(F_lo, 0.0), 0.0), np.where(moved, F_hi, 0.0)
 
@@ -1032,32 +1048,47 @@ def _clusters(u: BVFunction1D, lam: float, g: float) -> list[BVFunction1D]:
 def f_enclosures_batch(
     funcs: Sequence[BVFunction1D],
     gamma,
-    lam: float,
+    lam: float | Sequence[float],
     tol: float | None = None,
     max_depth: int = 40,
 ) -> list[Enclosure]:
     """Enclosures of the functional for many functions in one refinement.
 
-    All functions share gamma, lam, and the width target semantics of
-    :class:`ExceedanceQuery`, which validates them.  Each function is
-    split into the parts of :func:`_clusters`, one batch row each, and
-    its enclosure is the sum of its rows' enclosures, rounded outward.
-    A row made of jumps only, constant ones included, is evaluated in
-    closed form (:func:`_jump_sections_F`); a constant one gives exactly
-    [0, 0].  A row made of one Cantor piece is refined as |rise| times the
-    unit staircase at the bracket of :func:`_reduced_lam`, or bounded by
-    :func:`_coarse_cantor_F` below the float range.  Every other row is
-    refined as it is.
+    ``lam`` is one threshold slope for all functions, or a sequence with
+    one slope per function, as a lambda sweep passes its grid.  All
+    functions share gamma and the width target semantics of
+    :class:`ExceedanceQuery`, which validates them; every slope is
+    checked as it checks lam, and all before any evaluation.  Each
+    function is split into the parts of :func:`_clusters`, one batch row
+    each, and its enclosure is the sum of its rows' enclosures, rounded
+    outward.  A row made of jumps only, constant ones included, is
+    evaluated in closed form (:func:`_jump_sections_F`); a constant one
+    gives exactly [0, 0].  A row made of one Cantor piece is refined as
+    |rise| times the unit staircase at the bracket of
+    :func:`_reduced_lam`, or bounded by :func:`_coarse_cantor_F` below the
+    float range.  Every other row is refined as it is.
 
     A function's rows share its tol: the closed-form rows' widths are
     taken off it, and the refinement freezes the function once its
     rows' unresolved slack, each in functional units (2 |rise| b for a
     row refined at [a, b]), sums to at most the rest.  A function that
-    is one row freezes on that row's own slack in kernel units.
+    is one row freezes on that row's own slack in kernel units.  Each
+    function freezes on its own and keeps its boxes in their own order,
+    so its enclosure is the one it gets alone at its own slope, as long
+    as the call's live boxes, summed over all its rows, stay within
+    ``_WAVE_CAP``.
     """
-    q = ExceedanceQuery(gamma, lam, tol, max_depth)
+    if np.ndim(lam) == 0:
+        q = ExceedanceQuery(gamma, lam, tol, max_depth)
+        lam_f = [q.lam] * len(funcs)
+    else:
+        lam_f = [_as_lam(v) for v in lam]
+        if len(lam_f) != len(funcs):
+            raise ValueError(f"lam holds {len(lam_f)} slopes for {len(funcs)} functions")
+        # gamma, tol and max_depth are checked here; the slopes were above.
+        q = ExceedanceQuery(gamma, 1.0, tol, max_depth)
     g = q.gamma
-    parts = [_clusters(u, q.lam, g) for u in funcs]
+    parts = [_clusters(u, v, g) for u, v in zip(funcs, lam_f)]
     rows = [v for p in parts for v in p]
     n_rows = np.array([len(p) for p in parts], dtype=np.intp)
     owner = np.repeat(np.arange(len(funcs)), n_rows)
@@ -1069,17 +1100,19 @@ def f_enclosures_batch(
     unit = cantor_staircase()
     batch = _Batch([unit if c else v for v, c in zip(rows, cantor)])
     # Per row: a threshold bracket [a, b] and the factor |rise| that maps
-    # the unit staircase back; a = b = lam and 1 for rows kept as they are.
-    # Rows in closed form get their enclosure C before the refinement.
-    lam_ab = np.full((2, batch.S), q.lam)
+    # the unit staircase back; a = b = its function's lam and 1 for rows
+    # kept as they are.  Rows in closed form get their enclosure C before
+    # the refinement.
+    lam_r = np.array(lam_f, dtype=float)[owner]
+    lam_ab = np.stack([lam_r, lam_r])
     fac = np.ones(batch.S)
     closed = batch.jump_only.copy()
     C = np.zeros((2, batch.S))
     exact = np.nonzero(closed)[0]
-    C[:, exact] = _jump_sections_F(batch, exact, g, q.lam)
+    C[:, exact] = _jump_sections_F(batch, exact, g, lam_r[exact])
     for k in np.nonzero(cantor)[0]:
         piece = rows[k].pieces[0]
-        lam_ab[:, k] = _reduced_lam(q.lam, g, piece)
+        lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, piece)
         fac[k] = abs(piece.rise)
         if lam_ab[0, k] == 0.0:
             closed[k] = True

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nugamma import asymptotics
 from nugamma.asymptotics import (
     SweepResult,
     covering_select,
@@ -24,9 +25,12 @@ from nugamma.bvmodel import (
     JumpPiece,
     VariationTriple,
     affine_ramp,
+    cantor_piece,
     cantor_staircase,
+    sine_ramp,
     single_jump,
 )
+from nugamma.functional1d import f_enclosures_batch
 from nugamma.numeasure import Enclosure, PlaneBox, curved_indicator, nu_quadrature_oracle, triangle_indicator
 
 
@@ -163,6 +167,67 @@ def test_lambda_sweep_propagates_programming_errors(monkeypatch):
     )
     with pytest.raises(TypeError):
         lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3)
+
+
+#: Sweep inputs that take each path of the engine with a per-point lam.
+SWEEP_CASES = {
+    # One Cantor row per point, each refined at its own reduced-lam bracket.
+    "staircase": cantor_staircase(0.0, 1.0, 1.0),
+    # Jump-only rows, evaluated in closed form at each point's lam.
+    "jumps": BVFunction1D((JumpPiece(0.0, 1.0), JumpPiece(0.3, -0.5), JumpPiece(0.4, 2.0))),
+    # One refined row with both jumps at small lam, and a ramp row and two
+    # one-jump rows once the truncation radius falls below the gaps.
+    "ramp+far-jumps": BVFunction1D(
+        (affine_ramp(0.0, 1.0, 1.0), JumpPiece(1.5, 1.0), JumpPiece(3.0, -0.5))
+    ),
+    "cantor-over-sine": BVFunction1D((cantor_piece(0.0, 1.0, 1.0), sine_ramp(0.5, 1.5, -1.0))),
+}
+
+
+def _bits(enc):
+    return enc.lo.hex(), enc.hi.hex(), enc.tol_met
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_lambda_sweep_matches_points_alone(monkeypatch, case, gamma):
+    u = SWEEP_CASES[case]
+    sizes = []
+
+    def counted(funcs, *args):
+        sizes.append(len(funcs))
+        return f_enclosures_batch(funcs, *args)
+
+    monkeypatch.setattr(asymptotics, "f_enclosures_batch", counted)
+    sweep = lambda_sweep(u, gamma, 1.0, 1e4, points=5, tol=0.05, max_depth=14)
+    assert sizes == [5] and sweep.failures == ()
+    for lam, enc in zip(sweep.lambdas, sweep.enclosures):
+        (alone,) = f_enclosures_batch([u], gamma, lam, 0.05, 14)
+        assert _bits(enc) == _bits(alone), lam
+
+
+def test_lambda_sweep_retries_points_alone(monkeypatch):
+    # The batch fails, and so does the third point retried alone; the
+    # other points keep the enclosures they get alone.
+    u = single_jump(1.0)
+    bad = float(np.geomspace(1e2, 1e4, 4)[2])
+    calls = []
+
+    def flaky(funcs, gamma, lam, *args):
+        calls.append(len(funcs))
+        if np.ndim(lam) or lam == bad:
+            raise ValueError("engine failure")
+        return f_enclosures_batch(funcs, gamma, lam, *args)
+
+    monkeypatch.setattr(asymptotics, "f_enclosures_batch", flaky)
+    sweep = lambda_sweep(u, 1.0, 1e2, 1e4, points=4)
+    assert calls == [4, 1, 1, 1, 1]
+    assert sweep.failures == ((bad, "ValueError: engine failure"),)
+    for lam, enc in zip(sweep.lambdas, sweep.enclosures):
+        if lam == bad:
+            assert enc is None
+        else:
+            assert _bits(enc) == _bits(f_enclosures_batch([u], 1.0, lam)[0])
 
 
 def test_limit_estimate_and_verdict():

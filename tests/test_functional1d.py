@@ -115,6 +115,43 @@ def test_constant_sections_share_the_refinement():
     assert f_enclosures_batch([], 1.0, 10.0) == []
 
 
+def _bits(enc):
+    return enc.lo.hex(), enc.hi.hex(), enc.tol_met
+
+
+def test_per_function_lam_matches_separate_calls():
+    # Closed-form, Cantor, clustered and refined rows, each at its own lam
+    # in one batch, read what each function reads alone at that lam.
+    funcs = [
+        BVFunction1D((JumpPiece(0.0, 1.0), JumpPiece(0.2, -0.5))),
+        cantor_staircase(0.0, 2.0, -1.5),
+        BVFunction1D((affine_ramp(0.0, 1.0, 1.0), JumpPiece(3.0, 1.0))),
+        BVFunction1D((cantor_piece(0.0, 1.0, 1.0), sine_ramp(0.5, 1.5, 1.0))),
+        BVFunction1D(pieces=(), base_value=2.0),
+        BVFunction1D((affine_ramp(0.0, 1.0, 1.0), JumpPiece(3.0, 1.0))),
+    ]
+    lams = [30.0, 1e5, 1e3, 7.0, 2.0, 1.0]
+    # A float lam is the same lam for every function.  The one-jump row of
+    # the third function shares the jump table with two-jump rows.
+    for gamma, lam_arg in ((0.5, np.array(lams)), (2.0, lams), (1.0, 40.0)):
+        batch = f_enclosures_batch(funcs, gamma, lam_arg, 0.05, 12)
+        for u, lam, enc in zip(funcs, np.broadcast_to(lam_arg, 6).tolist(), batch):
+            assert _bits(enc) == _bits(f_enclosures_batch([u], gamma, lam, 0.05, 12)[0])
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [[10.0], [10.0] * 3, [], [10.0, math.inf], [10.0, math.nan], [0.0, 10.0], [10.0, -1.0]],
+)
+def test_per_function_lam_is_checked_before_evaluation(monkeypatch, lam):
+    def refined(*args):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(functional1d, "_clusters", refined)
+    with pytest.raises(ValueError, match="lam"):
+        f_enclosures_batch([single_jump(1.0), single_jump(2.0)], 1.0, lam)
+
+
 #: A quintic with two interior extrema (near 0.134 and 0.512) and two
 #: inflection points (near 0.307 and 0.903).
 QUINTIC = (0.0, 3.0, -15.0, 20.0, -5.0, -2.0)
