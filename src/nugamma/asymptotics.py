@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bvmodel import BVFunction1D, VariationTriple
-from .functional1d import ExceedanceQuery, f_enclosures_batch
+from .functional1d import EvaluationError, ExceedanceQuery, f_enclosures_batch
 from .numeasure import Enclosure, as_gamma, nu_curved, nu_triangle
 from .sectionnd import c_n_constant
 
@@ -104,8 +104,8 @@ def sbv_target(parts, gamma, dimension: int = 1) -> float:
 class SweepResult:
     """Functional enclosures along a geometric grid of threshold slopes.
 
-    ``enclosures[i]`` is None when evaluation at ``lambdas[i]`` failed;
-    the failure text is kept in ``failures`` alongside the lam value.
+    ``enclosures[i]`` is None where the engine gave none at ``lambdas[i]``;
+    ``failures`` then holds that lam and ``"ValueError: <reason>"``.
     """
 
     lambdas: tuple[float, ...]
@@ -136,9 +136,9 @@ def lambda_sweep(
     """Evaluate the functional on a geometric grid of threshold slopes.
 
     The grid is one engine call, with one slope per copy of ``u``.  Bad
-    arguments raise before any evaluation.  When the engine raises a
-    ValueError, each grid point is evaluated again alone, and a point
-    that still raises is recorded in ``failures`` instead.
+    arguments raise before any evaluation.  A point the engine gives no
+    enclosure gets None, and its reason is recorded in ``failures``; the
+    other points keep the enclosures they get alone.
     """
     if not (0.0 < lam_min <= lam_max) or not math.isfinite(lam_max):
         raise ValueError("need 0 < lam_min <= lam_max, both finite")
@@ -148,20 +148,13 @@ def lambda_sweep(
         raise ValueError("a single-point sweep needs lam_min == lam_max")
     q = ExceedanceQuery(gamma, lam_min, tol, max_depth)
     lams = np.geomspace(lam_min, lam_max, points).tolist()
-    failures: list[tuple[float, str]] = []
     try:
-        encs: list[Enclosure | None] = f_enclosures_batch(
-            [u] * points, q.gamma, lams, q.tol, q.max_depth
-        )
-    except ValueError:  # some point fails; find which
-        encs = []
-        for lam in lams:
-            try:
-                encs.append(f_enclosures_batch([u], q.gamma, lam, q.tol, q.max_depth)[0])
-            except ValueError as exc:  # the engine's documented failure; record it
-                encs.append(None)
-                failures.append((lam, f"{type(exc).__name__}: {exc}"))
-    return SweepResult(tuple(lams), tuple(encs), q.gamma, function_id, tuple(failures))
+        encs = f_enclosures_batch([u] * points, q.gamma, lams, q.tol, q.max_depth)
+        failures = ()
+    except EvaluationError as exc:
+        encs = exc.results
+        failures = tuple((lams[i], f"ValueError: {r}") for i, r in exc.reasons.items())
+    return SweepResult(tuple(lams), tuple(encs), q.gamma, function_id, failures)
 
 
 def _tail(sweep: SweepResult, tail_fraction: float) -> list[Enclosure]:

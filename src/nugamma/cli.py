@@ -148,10 +148,10 @@ def _gamma_from(cfg: dict) -> float:
     return g
 
 
-def _tol_args(cfg: dict) -> tuple[float | None, int]:
+def _tol_args(cfg: dict, key: str = "tol") -> tuple[float | None, int]:
     tol = None
-    if cfg.get("tol") is not None:
-        tol = _num(cfg["tol"], "tol", positive=True)
+    if cfg.get(key) is not None:
+        tol = _num(cfg[key], key, positive=True)
     max_depth = _int(cfg.get("max_depth", 40), "max_depth", minimum=1)
     return tol, max_depth
 
@@ -367,10 +367,7 @@ def _run_section_nd(cfg: dict, out_dir: Path):
         lam = None
     else:
         lam = _num(_require(cfg, "lambda", ""), "lambda", positive=True)
-        tol_1d = None
-        if cfg.get("tol_1d") is not None:
-            tol_1d = _num(cfg["tol_1d"], "tol_1d", positive=True)
-        max_depth = _int(cfg.get("max_depth", 40), "max_depth", minimum=1)
+        tol_1d, max_depth = _tol_args(cfg, "tol_1d")
         est = F_nd_estimate(field, g, lam, samples, seed, tol_1d, max_depth)
         target = sbv_target(field.variation_parts, g, field.dimension)
     gate = 3.0 * est.stderr + est.systematic + 1e-12 * max(1.0, abs(target))

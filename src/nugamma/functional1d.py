@@ -90,6 +90,7 @@ from .numeasure import Enclosure, PlaneBox, as_gamma
 
 __all__ = [
     "ZeroVariationError",
+    "EvaluationError",
     "ExceedanceQuery",
     "BoxVerdict",
     "truncation_radius",
@@ -141,6 +142,18 @@ _LOG_ERR = 32.0
 #: two additions add two rounding steps.  That is about 7 eps; 16 leaves
 #: a margin.
 _RAMP_ERR = 16.0
+
+
+class EvaluationError(ValueError):
+    """Some functions of a :func:`f_enclosures_batch` call got no enclosure.
+
+    ``results`` holds each function's Enclosure, or None where it failed;
+    ``reasons`` maps each failed function's index to why.
+    """
+
+    def __init__(self, results, reasons):
+        super().__init__("; ".join(f"function {f}: {r}" for f, r in reasons.items()))
+        self.results, self.reasons = results, reasons
 
 
 class ZeroVariationError(ValueError):
@@ -716,8 +729,7 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
         bx0, bx1 = x0[idx], x1[idx]
         bh0, bh1 = h0[idx], h1[idx]
         xm = 0.5 * (bx0 + bx1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hk = (0.5 * (bh0**g + bh1**g)) ** (1.0 / g)
+        hk = (0.5 * (bh0**g + bh1**g)) ** (1.0 / g)
         hm = np.where(bh0 == 0.0, bh1 * 2.0 ** (-1.0 / g), hk)
         ha = 0.5 * (bh0 + bh1)
         hm = np.where((hm > bh0) & (hm < bh1), hm, ha)
@@ -783,8 +795,7 @@ def _gap(a, b):
     difference rounds once more; 4u (|a| + |b|) covers all three.  A gap
     to an end sentinel or a padded slot is +inf.
     """
-    with np.errstate(invalid="ignore"):
-        e = a - b
+    e = a - b
     fin = np.isfinite(e)
     e = np.where(fin, e, np.inf)
     r = np.where(fin, 2.0 * _EPS * (np.abs(a) + np.abs(b)), 0.0)
@@ -833,7 +844,8 @@ def _ramp_mass(e, c, g):
 
 def _jump_sections_F(B: _Batch, rows, gamma, lam):
     """Certified enclosures (lo, hi) of F for the jump-only sections ``rows``
-    at the threshold slopes ``lam``, one per row.
+    at the threshold slopes ``lam``, one per row, and a mask of the rows
+    whose cutoffs or masses are not finite (a NaN cutoff reads as none).
 
     Sort a section's jumps to p_1 <= ... <= p_K, with sentinels
     p_0 = -inf and p_(K+1) = +inf, and let D_ij = J_i + ... + J_j.  The
@@ -865,20 +877,15 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
     end = np.full((R, 1), np.inf)
     P = np.concatenate([-end, p, end], axis=1)  # P[:, k + 1] = p_k
     lo, hi, mag_lo, mag_hi = np.zeros((4, R))
+    bad = np.zeros(R, dtype=bool)
     for i in range(K):
         j = np.arange(i, K)
         # Partial sums J_i + ... + J_j, each off by at most (j - i) u times
         # the sum of the magnitudes.
         D = np.abs(np.cumsum(J[:, i:], axis=1))
         dD = 2.0 * _EPS * (j - i) * np.cumsum(np.abs(J[:, i:]), axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            c_lo, c_hi = _cutoff(*_widen(D, dD), lam[:, None], g)
-        bad = ~(np.isfinite(c_lo) & np.isfinite(c_hi)).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                "jump cutoff (|J| / lam)^(1/(1+gamma)) overflows at lam "
-                f"{float(lam[bad][0])!r}"
-            )
+        c_lo, c_hi = _cutoff(*_widen(D, dD), lam[:, None], g)
+        bad |= ~(np.isfinite(c_lo) & np.isfinite(c_hi)).all(axis=1)
         ramps = (
             (1.0, p[:, j], p[:, i, None]),
             (-1.0, p[:, j], P[:, i, None]),
@@ -908,11 +915,9 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
     scale = 2.0 * lam
     F_lo = np.nextafter(scale * np.nextafter(lo - n_eps * mag_lo, -np.inf), -np.inf)
     F_hi = np.nextafter(scale * np.nextafter(hi + n_eps * mag_hi, np.inf), np.inf)
-    bad = ~(np.isfinite(F_lo) & np.isfinite(F_hi))
-    if bad.any():
-        raise ValueError(f"jump slab masses are not finite at lam {float(lam[bad][0])!r}")
+    bad |= ~(np.isfinite(F_lo) & np.isfinite(F_hi))
     moved = mag_hi > 0
-    return np.where(moved, np.maximum(F_lo, 0.0), 0.0), np.where(moved, F_hi, 0.0)
+    return np.where(moved, np.maximum(F_lo, 0.0), 0.0), np.where(moved, F_hi, 0.0), bad
 
 
 # ---------------------------------------------------------------------------
@@ -991,10 +996,7 @@ def _coarse_cantor_F(rise: float, b: float, g: float) -> tuple[float, float]:
     lo, hi = _widen(mid, d + 2.0 * _EPS * (mid + d))
     r = abs(rise)
     F_lo = math.nextafter(r * float(lo), 0.0)
-    F_hi = math.nextafter(r * float(hi), math.inf)
-    if not math.isfinite(F_hi):
-        raise ValueError(f"coarse Cantor bound overflows for rise {rise!r}")
-    return F_lo, F_hi
+    return F_lo, math.nextafter(r * float(hi), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1047,7 @@ def _clusters(u: BVFunction1D, lam: float, g: float) -> list[BVFunction1D]:
     ]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def f_enclosures_batch(
     funcs: Sequence[BVFunction1D],
     gamma,
@@ -1077,6 +1080,11 @@ def f_enclosures_batch(
     so its enclosure is the one it gets alone at its own slope, as long
     as the call's live boxes, summed over all its rows, stay within
     ``_WAVE_CAP``.
+
+    After the arguments are checked, a function fails where a row's jump
+    cutoffs or masses, Cantor bracket, or ends are not finite, and the
+    call raises :class:`EvaluationError` with every result and reason.
+    numpy's float warnings are off, as these checks stand in for them.
     """
     if np.ndim(lam) == 0:
         q = ExceedanceQuery(gamma, lam, tol, max_depth)
@@ -1109,10 +1117,17 @@ def f_enclosures_batch(
     closed = batch.jump_only.copy()
     C = np.zeros((2, batch.S))
     exact = np.nonzero(closed)[0]
-    C[:, exact] = _jump_sections_F(batch, exact, g, lam_r[exact])
+    C[0, exact], C[1, exact], bad = _jump_sections_F(batch, exact, g, lam_r[exact])
+    reasons = {}  # function -> why it gets no enclosure
+    for f in owner[exact[bad]]:
+        reasons[f] = f"jump cutoffs or masses are not finite at lam {lam_f[f]!r}"
     for k in np.nonzero(cantor)[0]:
         piece = rows[k].pieces[0]
-        lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, piece)
+        try:
+            lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, piece)
+        except ValueError as exc:
+            reasons.setdefault(owner[k], str(exc))
+            continue
         fac[k] = abs(piece.rise)
         if lam_ab[0, k] == 0.0:
             closed[k] = True
@@ -1132,7 +1147,8 @@ def f_enclosures_batch(
     tol_w = tol_f - np.bincount(owner, weights=C[1] - C[0], minlength=len(funcs))
     solo = alone & ~closed[first]
     tol_w[solo] = tol_f[solo] / scale[1, first[solo]]
-    refine = np.nonzero(~closed)[0]
+    failed = np.isin(np.arange(len(funcs)), list(reasons))
+    refine = np.nonzero(~closed & ~failed[owner])[0]
     lo, slack, met = _split_wave(
         batch, g, lam_ab, tol_w, q.max_depth, refine, owner, weight
     )
@@ -1145,17 +1161,25 @@ def f_enclosures_batch(
     # A function of one row reads that row; the rows of any other are
     # summed with outward rounding.
     lo_f, hi_f = F_lo[first], F_hi[first]
-    for f in np.nonzero(~alone)[0]:
+    for f in np.nonzero(~alone & ~failed)[0]:
         ks = slice(first[f], first[f] + n_rows[f])
-        lo_f[f] = max(math.nextafter(math.fsum(F_lo[ks]), -math.inf), 0.0)
-        hi_f[f] = math.nextafter(math.fsum(F_hi[ks]), math.inf)
+        try:
+            lo_f[f] = max(math.nextafter(math.fsum(F_lo[ks]), -math.inf), 0.0)
+            hi_f[f] = math.nextafter(math.fsum(F_hi[ks]), math.inf)
+        except OverflowError:  # the sum leaves the float range
+            hi_f[f] = math.inf
+    for f in np.nonzero(~failed & ~(np.isfinite(lo_f) & np.isfinite(hi_f)))[0]:
+        path = "summed" if not alone[f] else "closed-form" if closed[first[f]] else "refined"
+        reasons[f] = f"{path} ends [{lo_f[f]}, {hi_f[f]}] are not finite at lam {lam_f[f]!r}"
     # The refinement's verdict covers slack only, so rows in closed form,
     # Cantor rows (widened by their bracket) and sums check their width.
     checked = (closed | cantor)[first] | ~alone
     met[checked] &= hi_f[checked] - lo_f[checked] <= tol_f[checked]
-    return [
-        Enclosure(lo, hi, m) for lo, hi, m in zip(lo_f.tolist(), hi_f.tolist(), met.tolist())
-    ]
+    ends = zip(lo_f.tolist(), hi_f.tolist(), met.tolist())
+    encs = [None if f in reasons else Enclosure(*e) for f, e in enumerate(ends)]
+    if reasons:
+        raise EvaluationError(encs, {int(f): reasons[f] for f in sorted(reasons)})
+    return encs
 
 
 def measure_exceedance(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:

@@ -37,7 +37,7 @@ from .bvmodel import (
     affine_ramp,
     polynomial_piece,
 )
-from .functional1d import ExceedanceQuery, f_enclosures_batch
+from .functional1d import EvaluationError, ExceedanceQuery, f_enclosures_batch
 
 __all__ = [
     "unit_ball_volume",
@@ -458,41 +458,27 @@ def F_nd_estimate(
     half-width (scaled like the mean) as ``systematic``.  ``tol_1d`` is
     the per-section enclosure width target; the default tracks each
     section's size, which can be needlessly tight for large sample
-    counts.  Bad arguments raise before any section is evaluated.
+    counts.  Bad arguments raise before any section is evaluated, and
+    sections the engine gives no enclosure are left out as ``failures``.
     """
     q = ExceedanceQuery(gamma, lam, tol_1d, max_depth)
     if samples < 2:
         raise ValueError("samples must be at least 2")
     secs = _sections_for(field, samples, seed)
-    mids = np.zeros(samples)
-    hws = np.zeros(samples)
-    ok = np.ones(samples, dtype=bool)
-    reasons = []
+    encs, reasons = [], []
     args = (q.gamma, q.lam, q.tol, q.max_depth)
     for i in range(0, samples, _SECTION_CHUNK):
-        part = secs[i : i + _SECTION_CHUNK]
         try:
-            encs = f_enclosures_batch(part, *args)
-        except ValueError:
-            encs = []
-            for kk, u in enumerate(part):
-                try:
-                    encs.append(f_enclosures_batch([u], *args)[0])
-                except ValueError as exc:
-                    encs.append(None)
-                    reasons.append(f"section {i + kk}: {exc}")
-        for kk, enc in enumerate(encs):
-            if enc is None:
-                ok[i + kk] = False
-            else:
-                mids[i + kk] = enc.mid
-                hws[i + kk] = 0.5 * enc.width
-    n_used = int(ok.sum())
-    n_fail = samples - n_used
+            encs += f_enclosures_batch(secs[i : i + _SECTION_CHUNK], *args)
+        except EvaluationError as exc:
+            encs += exc.results
+            reasons += [f"section {i + k}: {r}" for k, r in exc.reasons.items()]
+    good = [e for e in encs if e is not None]
+    n_fail = samples - len(good)
     factor = _line_set_measure(field) / c_n_constant(1)
-    systematic = factor * float(hws[ok].mean()) if n_used else 0.0
+    systematic = factor * float(np.mean([0.5 * e.width for e in good])) if good else 0.0
     return _mc_wrap(
-        mids[ok],
+        np.array([e.mid for e in good]),
         factor,
         seed,
         systematic=systematic,

@@ -30,7 +30,7 @@ from nugamma.bvmodel import (
     sine_ramp,
     single_jump,
 )
-from nugamma.functional1d import f_enclosures_batch
+from nugamma.functional1d import EvaluationError, f_enclosures_batch
 from nugamma.numeasure import Enclosure, PlaneBox, curved_indicator, nu_quadrature_oracle, triangle_indicator
 
 
@@ -151,14 +151,29 @@ def test_cantor_sweep_matches_monte_carlo(cantor_monte_carlo):
 
 
 def test_lambda_sweep_records_engine_value_error(monkeypatch):
-    monkeypatch.setattr(
-        "nugamma.asymptotics.f_enclosures_batch", _raising_engine(ValueError)
-    )
+    # The engine's EvaluationError carries every point's result, and the
+    # sweep reads it without calling the engine again.  Any other
+    # ValueError is not the engine's failure record and propagates.
+    good = Enclosure(0.5, 1.5, True)
+    calls = []
+
+    def failing(funcs, *args):
+        calls.append(len(funcs))
+        raise EvaluationError([None, good, None], {0: "engine failure", 2: "other"})
+
+    monkeypatch.setattr(asymptotics, "f_enclosures_batch", failing)
     sweep = lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3)
-    assert sweep.enclosures == (None, None, None)
-    assert sweep.failures == tuple(
-        (lam, "ValueError: engine failure") for lam in sweep.lambdas
+    assert calls == [3]
+    assert sweep.enclosures == (None, good, None)
+    lams = sweep.lambdas
+    assert sweep.failures == (
+        (lams[0], "ValueError: engine failure"),
+        (lams[2], "ValueError: other"),
     )
+
+    monkeypatch.setattr(asymptotics, "f_enclosures_batch", _raising_engine(ValueError))
+    with pytest.raises(ValueError, match="engine failure"):
+        lambda_sweep(single_jump(1.0), 1.0, 1e2, 1e4, points=3)
 
 
 def test_lambda_sweep_propagates_programming_errors(monkeypatch):
@@ -206,28 +221,28 @@ def test_lambda_sweep_matches_points_alone(monkeypatch, case, gamma):
         assert _bits(enc) == _bits(alone), lam
 
 
-def test_lambda_sweep_retries_points_alone(monkeypatch):
-    # The batch fails, and so does the third point retried alone; the
-    # other points keep the enclosures they get alone.
-    u = single_jump(1.0)
-    bad = float(np.geomspace(1e2, 1e4, 4)[2])
-    calls = []
+def test_lambda_sweep_keeps_the_points_the_engine_answers(monkeypatch):
+    # Below lam 1e-100 the refined ends overflow.  Under the suite's
+    # error::RuntimeWarning filter this once escaped as a RuntimeWarning;
+    # without it, the grid was refined once as a batch and again point by
+    # point.  Now one engine call records the four failures, and the last
+    # point keeps the enclosure it gets alone.
+    u = BVFunction1D((affine_ramp(0.0, 1.0, 1e200), JumpPiece(0.5, 1e200)))
+    sizes = []
 
-    def flaky(funcs, gamma, lam, *args):
-        calls.append(len(funcs))
-        if np.ndim(lam) or lam == bad:
-            raise ValueError("engine failure")
-        return f_enclosures_batch(funcs, gamma, lam, *args)
+    def counted(funcs, *args):
+        sizes.append(len(funcs))
+        return f_enclosures_batch(funcs, *args)
 
-    monkeypatch.setattr(asymptotics, "f_enclosures_batch", flaky)
-    sweep = lambda_sweep(u, 1.0, 1e2, 1e4, points=4)
-    assert calls == [4, 1, 1, 1, 1]
-    assert sweep.failures == ((bad, "ValueError: engine failure"),)
-    for lam, enc in zip(sweep.lambdas, sweep.enclosures):
-        if lam == bad:
-            assert enc is None
-        else:
-            assert _bits(enc) == _bits(f_enclosures_batch([u], 1.0, lam)[0])
+    monkeypatch.setattr(asymptotics, "f_enclosures_batch", counted)
+    sweep = lambda_sweep(u, 1.0, 1e-200, 1e-100, points=5, max_depth=12)
+    assert sizes == [5]
+    assert sweep.enclosures[:4] == (None,) * 4
+    assert [lam for lam, _ in sweep.failures] == list(sweep.lambdas[:4])
+    for lam, msg in sweep.failures:
+        assert msg.startswith("ValueError: refined ends") and msg.endswith(f"at lam {lam!r}")
+    (alone,) = f_enclosures_batch([u], 1.0, sweep.lambdas[4], None, 12)
+    assert _bits(sweep.enclosures[4]) == _bits(alone)
 
 
 def test_limit_estimate_and_verdict():

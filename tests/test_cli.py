@@ -197,6 +197,35 @@ def test_sweep_outputs(tmp_path):
     assert report["results"]["sbv_target"] == 1.0
 
 
+def test_sweep_reports_engine_failures_per_point(tmp_path):
+    # Below lam 1e-100 the refined ends of this function overflow.  Under
+    # the suite's error::RuntimeWarning filter that once escaped the run.
+    out = tmp_path / "run"
+    cfg = write_config(
+        tmp_path,
+        {
+            "mode": "sweep",
+            "gamma": 1.0,
+            "function": {
+                "pieces": [
+                    {"kind": "affine", "support": [0.0, 1.0], "slope": 1e200},
+                    {"kind": "jump", "location": 0.5, "height": 1e200},
+                ]
+            },
+            "sweep": {"lambda_min": 1e-200, "lambda_max": 1e-100, "points": 5},
+            "max_depth": 12,
+            "out": str(out),
+        },
+    )
+    assert main(["--config", cfg]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    for key in ("F_lo", "F_hi", "tol_met"):
+        assert res[key][:4] == [None] * 4 and res[key][4] is not None
+    assert [lam for lam, _ in res["failures"]] == res["lambdas"][:4]
+    for lam, msg in res["failures"]:
+        assert msg == f"ValueError: refined ends [0.0, inf] are not finite at lam {lam!r}"
+
+
 def test_verify_pass_on_single_jump(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(

@@ -28,6 +28,7 @@ from nugamma.functional1d import (
     _reduced_lam,
     _split_wave,
     _wave_bounds,
+    EvaluationError,
     ExceedanceQuery,
     ZeroVariationError,
     classify_box,
@@ -521,15 +522,71 @@ def test_cantor_gamma_half_meets_tol(cantor_monte_carlo):
     assert enc.contains(est, 4.0 * se), (enc, est, se)
 
 
+#: Two opposite jumps whose cutoffs overflow.  An overflowing cutoff reads
+#: as NaN, which would zero every slab mass and give [0, 0] with tol met,
+#: so the cutoffs must be tested for themselves.
+OPPOSITE_HUGE_JUMPS = BVFunction1D((JumpPiece(-0.5, 1e300), JumpPiece(0.5, -1e300)))
+
+
 @pytest.mark.parametrize(
     "u, lam, match",
-    [(single_jump(1e300), 1e-100, "cutoff"), (single_jump(1.0), 1e-309, "cutoff")],
+    [
+        (single_jump(1e300), 1e-100, "cutoff"),
+        (single_jump(1.0), 1e-309, "cutoff"),
+        (OPPOSITE_HUGE_JUMPS, 1e-100, "cutoff"),
+    ],
 )
 def test_unrepresentable_thresholds_raise(u, lam, match):
     # The jump cutoffs overflow, where the closed form once read the nan
     # masses as no jumps and gave [0, 0] with tol met.
     with pytest.raises(ValueError, match=match):
         f_enclosures_batch([u], 1.0, lam)
+
+
+@pytest.mark.parametrize(
+    "u, gamma, lam, path",
+    [
+        (OPPOSITE_HUGE_JUMPS, 1.0, 1e-100, "jump cutoffs"),
+        # Below the float range the coarse Cantor bound of rise 1e308 is
+        # 2e308 / 1.1, which overflows.
+        (BVFunction1D((cantor_piece(0.0, 1e-200, 1e308),)), 0.1, 1e-100, "closed-form ends"),
+        # The support's width, 2e308, overflows.
+        (BVFunction1D((cantor_piece(-1e308, 1e308, 1.0),)), 1.0, 1.0, "cannot reduce lam"),
+        (BVFunction1D((affine_ramp(0, 1, 1e200), JumpPiece(0.5, 1e200))), 1.0, 1e-200, "refined ends"),
+        # Three parts, each enclosed in floats, whose sum is not: math.fsum
+        # raises OverflowError for it.
+        (
+            BVFunction1D(
+                (JumpPiece(0.0, 6e307), JumpPiece(1e10, 6e307), affine_ramp(3e10, 3e10 + 1, 1.0))
+            ),
+            0.1,
+            1e300,
+            "summed ends",
+        ),
+    ],
+    ids=["jump-cutoffs", "coarse-cantor", "cantor-bracket", "refined", "summed"],
+)
+def test_failure_reasons_name_the_path_and_lam(u, gamma, lam, path):
+    with pytest.raises(EvaluationError) as info:
+        f_enclosures_batch([u], gamma, lam, max_depth=12)
+    assert info.value.results == [None]
+    assert path in info.value.reasons[0] and f"lam {lam!r}" in info.value.reasons[0]
+    assert str(info.value) == f"function 0: {info.value.reasons[0]}"
+
+
+def test_failed_function_leaves_the_others_as_alone():
+    ok = BVFunction1D((affine_ramp(0, 1, 1), JumpPiece(3, 1)))
+    with pytest.raises(EvaluationError) as info:
+        f_enclosures_batch([ok, OPPOSITE_HUGE_JUMPS, ok], 1.0, 1e-100, 0.05, 12)
+    (alone,) = f_enclosures_batch([ok], 1.0, 1e-100, 0.05, 12)
+    first, failed, last = info.value.results
+    assert failed is None and list(info.value.reasons) == [1]
+    for enc in (first, last):
+        assert (enc.lo.hex(), enc.hi.hex(), enc.tol_met) == (
+            alone.lo.hex(),
+            alone.hi.hex(),
+            alone.tol_met,
+        )
 
 
 @pytest.mark.parametrize(

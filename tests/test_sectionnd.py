@@ -20,6 +20,7 @@ from nugamma.sectionnd import (
     variation_check_target,
 )
 from nugamma.asymptotics import sbv_target
+from nugamma.functional1d import EvaluationError
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +277,49 @@ def test_f_nd_records_value_errors_and_propagates_others(monkeypatch):
     engine = sectionnd.f_enclosures_batch
     calls = []
 
-    def flaky(funcs, *args, **kwargs):
-        # The batch fails, and so does its first section retried alone.
+    def failing(funcs, *args, **kwargs):
+        # The engine answers every section but the first, and its error
+        # carries the other five enclosures.
         calls.append(len(funcs))
-        if len(calls) <= 2:
-            raise ValueError("engine failure")
-        return engine(funcs, *args, **kwargs)
+        encs = engine(funcs, *args, **kwargs)
+        raise EvaluationError([None, *encs[1:]], {0: "engine failure"})
 
-    monkeypatch.setattr(sectionnd, "f_enclosures_batch", flaky)
+    monkeypatch.setattr(sectionnd, "f_enclosures_batch", failing)
     est = F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
-    assert calls == [6, 1, 1, 1, 1, 1, 1]
+    assert calls == [6]
     assert est.failures == 1 and est.samples == 5
     assert est.failure_reasons == ("section 0: engine failure",)
 
-    def broken(*args, **kwargs):
-        raise TypeError("programming error")
+    for exc_type in (ValueError, TypeError):
 
-    monkeypatch.setattr(sectionnd, "f_enclosures_batch", broken)
-    with pytest.raises(TypeError):
-        F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
+        def broken(*args, exc_type=exc_type, **kwargs):
+            raise exc_type("not an engine failure record")
+
+        monkeypatch.setattr(sectionnd, "f_enclosures_batch", broken)
+        with pytest.raises(exc_type):
+            F_nd_estimate(field, 1.0, 1e2, samples=6, seed=3, tol_1d=0.05)
+
+
+def test_f_nd_failed_sections_take_one_engine_call(monkeypatch):
+    # Every chord of this ball has jump cutoffs beyond the float range.
+    # The engine once raised for the batch and then for each section
+    # retried alone; its error now names every section in one call.
+    import nugamma.sectionnd as sectionnd
+
+    engine = sectionnd.f_enclosures_batch
+    sizes = []
+
+    def counted(funcs, *args, **kwargs):
+        sizes.append(len(funcs))
+        return engine(funcs, *args, **kwargs)
+
+    monkeypatch.setattr(sectionnd, "f_enclosures_batch", counted)
+    field = BallIndicatorField(dimension=2, center=(0.0, 0.0), radius=1.0, height=1e300)
+    est = F_nd_estimate(field, 1.0, 1e-100, samples=6, seed=3)
+    assert sizes == [6]
+    assert est.failures == 6 and est.samples == 0 and est.flagged
+    assert [r.split(":")[0] for r in est.failure_reasons] == [f"section {i}" for i in range(6)]
+    assert all("cutoffs" in r and "lam 1e-100" in r for r in est.failure_reasons)
 
 
 def test_f_nd_rejects_bad_lambda():
