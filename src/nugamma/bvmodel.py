@@ -4,8 +4,8 @@ A function here is a constant base value plus a finite sum of catalog
 pieces, each constant outside a bounded interval:
 
 * ``SmoothPiece``, a Lipschitz profile from a closed catalog (polynomial,
-  affine ramp, clamped smoothstep, sine ramp) carrying its exact total
-  variation;
+  affine ramps among them, clamped smoothstep, sine ramp) carrying its
+  exact total variation;
 * ``JumpPiece``, a single jump, evaluated with the right-continuous
   convention;
 * ``CantorPiece``, a scaled copy of the Cantor staircase: monotone,
@@ -167,7 +167,7 @@ def cantor_eval_array(values: np.ndarray) -> np.ndarray:
 
 #: Ramp shapes by the codes the batched tables of
 #: :mod:`nugamma.functional1d` store.
-_SHAPE_CODE = {"affine": 1, "smoothstep": 2, "sine": 3}
+_SHAPE_CODE = {"smoothstep": 1, "sine": 2}
 
 
 def _shape_unit(code, t: np.ndarray, shapes: Sequence[int]) -> np.ndarray:
@@ -193,29 +193,25 @@ def _shape_deriv(code, t: np.ndarray, shapes: Sequence[int]) -> np.ndarray:
 
 
 def _unit_formula(code: int, t: np.ndarray) -> np.ndarray:
-    if code == 2:
+    if code == 1:
         return t * t * (3.0 - 2.0 * t)
-    if code == 3:
-        return 0.5 * (1.0 - np.cos(np.pi * t))
-    return t.copy()
+    return 0.5 * (1.0 - np.cos(np.pi * t))
 
 
 def _deriv_formula(code: int, t: np.ndarray) -> np.ndarray:
-    if code == 2:
+    if code == 1:
         return 6.0 * t * (1.0 - t)
-    if code == 3:
-        return 0.5 * np.pi * np.sin(np.pi * t)
-    return np.ones_like(t)
+    return 0.5 * np.pi * np.sin(np.pi * t)
 
 
 @dataclass(frozen=True)
 class ShapedRamp:
     """Monotone profile ``rise * s(t)`` with s(0) = 0 and s(1) = 1.
 
-    ``shape`` is one of ``affine`` (s = t), ``smoothstep``
-    (s = 3t^2 - 2t^3) or ``sine`` (s = (1 - cos pi t) / 2).  The unit
-    derivative of each shape is unimodal, so its minimum over a
-    subinterval is attained at an endpoint.
+    ``shape`` is ``smoothstep`` (s = 3t^2 - 2t^3) or ``sine``
+    (s = (1 - cos pi t) / 2).  The unit derivative of each shape is
+    unimodal, so its minimum over a subinterval is attained at an
+    endpoint.  Affine ramps are polynomial profiles (:func:`affine_ramp`).
     """
 
     shape: str
@@ -396,12 +392,13 @@ Piece = Union[SmoothPiece, JumpPiece, CantorPiece]
 
 
 def affine_ramp(a: float, b: float, slope: float) -> SmoothPiece:
-    """Affine ramp of the given slope on [a, b], clamped outside."""
+    """Affine ramp of the given slope on [a, b], clamped outside: the
+    polynomial profile rise * t, with exact total variation |rise|."""
     a, b = _check_interval((a, b))
     if not (math.isfinite(slope) and slope != 0.0):
         raise ValueError("slope must be finite and nonzero")
     rise = slope * (b - a)
-    return SmoothPiece((a, b), ShapedRamp("affine", rise), abs(rise))
+    return SmoothPiece((a, b), PolynomialProfile.from_coeffs((0.0, rise)), abs(rise))
 
 
 def smoothstep_piece(a: float, b: float, rise: float) -> SmoothPiece:

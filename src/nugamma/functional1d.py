@@ -37,8 +37,10 @@ each part is one row of the batch, classified by the rules below.  The
 rows of a function share its tol, not a split of it: the closed-form
 rows' widths are taken off it, and the refinement freezes all the
 function's rows at once when their unresolved slack, summed in
-functional units, is at most what is left.  A function that forms one
-row freezes on that row's slack in kernel units, as a lone row does.
+functional units, is at most what is left.  Every function, one row or
+many, freezes by that rule.  A refined row's ends are rounded outward
+after the 2 * lam scaling, and a function's ``tol_met`` also requires
+its final width to be at most its tol.
 
 A row made of jumps only (every line section of a set's indicator, for
 instance) skips the refinement: its exceedance set is a union of
@@ -355,9 +357,6 @@ class _Batch:
         self.sb = _table(rows(shaped, lambda p: p.support[1]), 1.0)
         self.srise = _table(rows(shaped, lambda p: p.profile.rise), 0.0)
         self.scode = _table(rows(shaped, lambda p: _SHAPE_CODE[p.profile.shape]), 0, np.int8)
-        # Non-affine ramps have varying slope, so boxes overlapping them
-        # benefit from x-refinement (localising the derivative window).
-        self.svar = _table(rows(shaped, lambda p: p.profile.shape != "affine"), False, bool)
         # The shape codes held, so a batch of one shape evaluates only its
         # formula (padded slots have zero rise and read as any shape).
         self.shapes = sorted({_SHAPE_CODE[p.profile.shape] for v in shaped for p in v})
@@ -512,8 +511,10 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         def deriv(t):
             return _shape_deriv(code, t, B.shapes)
 
+        # Shaped ramps have varying slope, so boxes overlapping them
+        # benefit from x-refinement (localising the derivative window).
         near = (a < span_hi) & (b > x0)
-        xsmooth = _fold(np.logical_or, _gather(B.svar, sid) & near, xsmooth)
+        xsmooth = _fold(np.logical_or, (rise != 0.0) & near, xsmooth)
         # The profile at the span ends t0, t1, the core ends tc0 = t(x1)
         # and tc1 = t(x0 + h0), and the window's far end tw1 = t(x1 + h0).
         t0 = np.clip((x0 - a) / w, 0.0, 1.0)
@@ -635,7 +636,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 # ---------------------------------------------------------------------------
 
 
-def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
+def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     """Run the refinement for the sections ``rows`` of a batch at once.
 
     ``lam`` is one threshold slope, or an array of shape (2, S) holding a
@@ -646,11 +647,10 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, owner=None, weight=1.0):
     ``owner`` maps each section to the function it is a part of (by
     default every section is its own function), and ``tol`` gives each
     function's width target in the units of ``weight``, a per-section
-    factor.  A function freezes, all its sections at once, in the first
+    factor (the engine passes 2 |rise| b, so targets are in functional
+    units).  A function freezes, all its sections at once, in the first
     wave where the sum over its sections of weight times unresolved mass
-    is at most its tol; its sections then keep that mass as slack.  With
-    weight 1 and one section per function this is a per-section freeze
-    in kernel-measure units.
+    is at most its tol; its sections then keep that mass as slack.
 
     Returns per section (lo, slack), in kernel-measure units: lo bounds
     nu(E_b) from below and lo + slack bounds nu(E_a) from above, so for a
@@ -1074,8 +1074,10 @@ def f_enclosures_batch(
     A function's rows share its tol: the closed-form rows' widths are
     taken off it, and the refinement freezes the function once its
     rows' unresolved slack, each in functional units (2 |rise| b for a
-    row refined at [a, b]), sums to at most the rest.  A function that
-    is one row freezes on that row's own slack in kernel units.  Each
+    row refined at [a, b]), sums to at most the rest; a function of one
+    row freezes by the same rule.  Every refined row's ends are rounded
+    outward, and ``tol_met`` holds where the refinement met its target
+    and the function's final width is at most its tol.  Each
     function freezes on its own and keeps its boxes in their own order,
     so its enclosure is the one it gets alone at its own slope, as long
     as the call's live boxes, summed over all its rows, stay within
@@ -1139,29 +1141,25 @@ def f_enclosures_batch(
     else:
         tol_f = np.full(len(funcs), q.tol)
 
-    # Width targets in the units the refinement freezes on: a function of
-    # one refined row in that row's kernel units, any other in functional
-    # units, less the widths of its closed-form rows.
-    alone = n_rows == 1
-    weight = np.where(alone[owner], 1.0, scale[1])
+    # The refinement freezes a function once its rows' slack, in
+    # functional units, fits its tol less the widths of its closed-form
+    # rows.
     tol_w = tol_f - np.bincount(owner, weights=C[1] - C[0], minlength=len(funcs))
-    solo = alone & ~closed[first]
-    tol_w[solo] = tol_f[solo] / scale[1, first[solo]]
     failed = np.isin(np.arange(len(funcs)), list(reasons))
     refine = np.nonzero(~closed & ~failed[owner])[0]
     lo, slack, met = _split_wave(
-        batch, g, lam_ab, tol_w, q.max_depth, refine, owner, weight
+        batch, g, lam_ab, tol_w, q.max_depth, refine, scale[1], owner
     )
-    F_lo = scale[0] * lo
-    F_hi = scale[1] * (lo + slack)
-    # Each Cantor end took up to three roundings, u each.
-    F_lo[cantor] = np.nextafter(F_lo[cantor] * (1.0 - 2.0 * _EPS), 0.0)
-    F_hi[cantor] = np.nextafter(F_hi[cantor] * (1.0 + 2.0 * _EPS), np.inf)
+    # Each end took up to three roundings, u each: 2 fac lam, its product
+    # with lo, and lo + slack.
+    F_lo = np.nextafter(scale[0] * lo * (1.0 - 2.0 * _EPS), 0.0)
+    F_hi = np.nextafter(scale[1] * (lo + slack) * (1.0 + 2.0 * _EPS), np.inf)
     F_lo[closed], F_hi[closed] = C[:, closed]
     # A function of one row reads that row; the rows of any other are
     # summed with outward rounding.
+    summed = n_rows > 1
     lo_f, hi_f = F_lo[first], F_hi[first]
-    for f in np.nonzero(~alone & ~failed)[0]:
+    for f in np.nonzero(summed & ~failed)[0]:
         ks = slice(first[f], first[f] + n_rows[f])
         try:
             lo_f[f] = max(math.nextafter(math.fsum(F_lo[ks]), -math.inf), 0.0)
@@ -1169,12 +1167,12 @@ def f_enclosures_batch(
         except OverflowError:  # the sum leaves the float range
             hi_f[f] = math.inf
     for f in np.nonzero(~failed & ~(np.isfinite(lo_f) & np.isfinite(hi_f)))[0]:
-        path = "summed" if not alone[f] else "closed-form" if closed[first[f]] else "refined"
+        path = "summed" if summed[f] else "closed-form" if closed[first[f]] else "refined"
         reasons[f] = f"{path} ends [{lo_f[f]}, {hi_f[f]}] are not finite at lam {lam_f[f]!r}"
-    # The refinement's verdict covers slack only, so rows in closed form,
-    # Cantor rows (widened by their bracket) and sums check their width.
-    checked = (closed | cantor)[first] | ~alone
-    met[checked] &= hi_f[checked] - lo_f[checked] <= tol_f[checked]
+    # The refinement's verdict covers slack only, not the closed-form
+    # widths, a Cantor bracket or the outward rounding, so every function
+    # checks its width too.
+    met &= hi_f - lo_f <= tol_f
     ends = zip(lo_f.tolist(), hi_f.tolist(), met.tolist())
     encs = [None if f in reasons else Enclosure(*e) for f, e in enumerate(ends)]
     if reasons:

@@ -56,8 +56,10 @@ __all__ = [
 ]
 
 
-#: Sections per engine call in :func:`F_nd_estimate`; bounds the size of
-#: one refinement batch.
+#: Sections per engine call in :func:`F_nd_estimate`.  The engine's wave
+#: cap (``functional1d._WAVE_CAP``) holds for a whole call, so each chunk
+#: gets the full box budget; refined sections in one larger call would
+#: share it and widen.
 _SECTION_CHUNK = 2048
 
 
@@ -453,12 +455,12 @@ def F_nd_estimate(
 ) -> MCEstimate:
     """Monte Carlo functional value of an N-dimensional field.
 
-    Sections are evaluated through the certified 1D engine in batches;
-    the estimator uses enclosure midpoints, reporting the mean enclosure
-    half-width (scaled like the mean) as ``systematic``.  ``tol_1d`` is
-    the per-section enclosure width target; the default tracks each
-    section's size, which can be needlessly tight for large sample
-    counts.  Bad arguments raise before any section is evaluated, and
+    Sections are evaluated through the certified 1D engine in chunks of
+    ``_SECTION_CHUNK``; the estimator uses enclosure midpoints, reporting
+    the mean enclosure half-width (scaled like the mean) as
+    ``systematic``.  ``tol_1d`` is the per-section enclosure width
+    target; the default tracks each section's size, which can be
+    needlessly tight for large sample counts.  Bad arguments raise before any section is evaluated, and
     sections the engine gives no enclosure are left out as ``failures``.
     """
     q = ExceedanceQuery(gamma, lam, tol_1d, max_depth)

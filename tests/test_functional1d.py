@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 from nugamma import functional1d
 from nugamma.bvmodel import (
+    _SHAPE_CODE,
     BVFunction1D,
     JumpPiece,
     affine_ramp,
@@ -163,7 +165,7 @@ def test_batch_tables_pad_inertly():
         single_jump(2.0, 1.0),
         BVFunction1D(
             pieces=(
-                affine_ramp(0.0, 1.0, 1.0),
+                sine_ramp(0.0, 1.0, 1.0),
                 polynomial_piece(2.0, 3.0, (0.0, 1.0, -3.0, 2.0)),
                 JumpPiece(location=4.0, height=-1.0),
             )
@@ -176,7 +178,7 @@ def test_batch_tables_pad_inertly():
     assert B.jump_only.tolist() == [True, False, True]
     assert B.jloc.tolist() == [[0.0], [4.0], [math.inf]]
     assert B.jh.tolist() == [[2.0], [-1.0], [0.0]]
-    assert B.scode.dtype == np.int8 and B.svar.dtype == bool
+    assert B.scode.dtype == np.int8 and B.shapes == [_SHAPE_CODE["sine"]]
     assert B.sb.tolist() == [[0.0], [1.0], [1.0]]
     assert B.srise.tolist() == [[0.0], [1.0], [0.0]]
     assert B.ca.shape == B.cb.shape == B.crise.shape == (3, 0)
@@ -589,6 +591,53 @@ def test_failed_function_leaves_the_others_as_alone():
         )
 
 
+def test_refined_ends_round_outward(monkeypatch):
+    # Each refined function's ends enclose 2 lam times its kernel bounds
+    # (lo, lo + slack), taken exactly; rounding the products to nearest
+    # lands inside that interval about half the time.
+    kernel = []
+
+    def spy(*args, **kwargs):
+        out = _split_wave(*args, **kwargs)
+        kernel.append(out[:2])
+        return out
+
+    monkeypatch.setattr(functional1d, "_split_wave", spy)
+    ramps = [
+        affine_ramp(0.0, 1.0, 1.0),
+        smoothstep_piece(0.0, 1.0, 1.0),
+        sine_ramp(0.0, 1.0, -1.0),
+        polynomial_piece(0.0, 1.0, (0.0, 1.0, -0.5)),
+    ]
+    funcs = [BVFunction1D((r, JumpPiece(0.5, 0.25))) for r in ramps]
+    funcs += [BVFunction1D((r,)) for r in ramps]
+    lams = [10.0 ** (1.0 + 0.37 * k) for k in range(len(funcs))]
+    encs = f_enclosures_batch(funcs, 1.0, lams, 0.05, 16)
+    ((lo, slack),) = kernel
+    assert len(lo) == len(funcs)
+    for k, (enc, lam) in enumerate(zip(encs, lams)):
+        two_lam = 2 * Fraction(lam)
+        assert Fraction(enc.lo) <= two_lam * Fraction(lo[k])
+        assert Fraction(enc.hi) >= two_lam * (Fraction(lo[k]) + Fraction(slack[k]))
+
+
+def test_tol_met_implies_the_width_fits():
+    # One rule for every function, whatever its rows: a one-row refined
+    # function, a lone staircase, a jump-only function and a ramp with a
+    # far jump, at a tol and depth that some of them miss.
+    tol = 2e-3
+    funcs = [
+        BVFunction1D((smoothstep_piece(0.0, 1.0, 1.0),)),
+        cantor_staircase(0.0, 1.0, 1.0),
+        BVFunction1D((JumpPiece(0.0, 1.0), JumpPiece(0.05, -1.0))),
+        BVFunction1D((affine_ramp(0.0, 1.0, 1.0), JumpPiece(5.0, 1.0))),
+    ]
+    encs = f_enclosures_batch(funcs, 1.0, 1e3, tol, 14)
+    assert any(e.tol_met for e in encs) and not all(e.tol_met for e in encs)
+    for enc in encs:
+        assert enc.width <= tol or not enc.tol_met
+
+
 @pytest.mark.parametrize(
     "pieces, lam, limit, direct",
     [
@@ -844,14 +893,17 @@ def test_opposite_jumps_closed_form(sign, d, gamma):
 
 
 def _refined(funcs, gamma, lam, tol, max_depth):
-    """Branch-and-bound enclosures of every function, jump-only ones too."""
+    """Branch-and-bound enclosures of every function, jump-only ones too,
+    each frozen, rounded and checked as the engine does a one-row
+    function."""
     B = _Batch(funcs)
     scale = 2.0 * lam
-    lo, slack, met = _split_wave(B, gamma, lam, tol / scale, max_depth, np.arange(B.S))
-    return [
-        Enclosure(scale * lo[k], scale * (lo[k] + slack[k]), bool(met[k]))
-        for k in range(B.S)
-    ]
+    eps = np.finfo(float).eps
+    lo, slack, met = _split_wave(B, gamma, lam, tol, max_depth, np.arange(B.S), weight=scale)
+    F_lo = np.nextafter(scale * lo * (1.0 - 2.0 * eps), 0.0)
+    F_hi = np.nextafter(scale * (lo + slack) * (1.0 + 2.0 * eps), np.inf)
+    met &= F_hi - F_lo <= tol
+    return [Enclosure(F_lo[k], F_hi[k], bool(met[k])) for k in range(B.S)]
 
 
 def _jump_family(rng, K):

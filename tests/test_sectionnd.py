@@ -322,6 +322,33 @@ def test_f_nd_failed_sections_take_one_engine_call(monkeypatch):
     assert all("cutoffs" in r and "lam 1e-100" in r for r in est.failure_reasons)
 
 
+def test_f_nd_chunks_keep_refined_sections_as_alone(monkeypatch):
+    # The engine's wave cap holds per call, so refined sections sharing one
+    # call share its box budget.  With the cap cut so that one call of all
+    # 12 radial sections runs into it (5 of them widen) but a chunk of 4
+    # does not, each chunked section must equal its lone enclosure.
+    import nugamma.functional1d as functional1d
+    import nugamma.sectionnd as sectionnd
+
+    monkeypatch.setattr(functional1d, "_WAVE_CAP", 100_000)
+    monkeypatch.setattr(sectionnd, "_SECTION_CHUNK", 4)
+    engine = sectionnd.f_enclosures_batch
+    sizes, encs = [], []
+
+    def counted(funcs, *args, **kwargs):
+        sizes.append(len(funcs))
+        out = engine(funcs, *args, **kwargs)
+        encs.extend(out)
+        return out
+
+    monkeypatch.setattr(sectionnd, "f_enclosures_batch", counted)
+    field = RadialPolynomialField(dimension=2, radius=2.0, coeffs=[1.0, -2.0, 1.0])
+    F_nd_estimate(field, 1.0, 1e2, samples=12, seed=2, tol_1d=0.05)
+    assert sizes == [4, 4, 4]
+    for sec, enc in zip(sectionnd._sections_for(field, 12, 2), encs):
+        assert enc == engine([sec], 1.0, 1e2, 0.05, 40)[0]
+
+
 def test_f_nd_rejects_bad_lambda():
     field = BallIndicatorField(dimension=2, center=(0.0, 0.0), radius=1.0, height=1.0)
     with pytest.raises(ValueError):
