@@ -39,7 +39,7 @@ rows' widths are taken off it, and the refinement freezes all the
 function's rows at once when their unresolved slack, summed in
 functional units, is at most what is left.  Every function, one row or
 many, freezes by that rule.  A refined row's ends are rounded outward
-after the 2 * lam scaling, and a function's ``tol_met`` also requires
+as they are scaled back, and a function's ``tol_met`` also requires
 its final width to be at most its tol.
 
 A row made of jumps only (every line section of a set's indicator, for
@@ -48,21 +48,23 @@ trapezoid slabs, one per run of consecutive jumps, whose kernel mass has
 a closed form.  :func:`_jump_sections_F` evaluates it with outward
 rounding, so those enclosures are about 1e-14 wide relative to the value.
 
-A row made of one Cantor piece is refined as the unit staircase U
-on [0, 1] at a reduced threshold.  Scaling and dilation give
-F_lam(u) = |r| F_lam'(U) with lam' = lam w^(1+gamma) / |r| for a piece of
-support width w and rise r.  U is the sum of its two thirds, U(3x)/2 and
-U(3x - 2)/2, and once lam' >= 3^(1+gamma) no pair touching both thirds
-exceeds, so F_lam'(U) = F_(lam'/rho)(U) with rho = 3^(1+gamma)/2.
-:func:`_reduced_lam` divides by rho while that holds, which lands lam' in
-[2, 3^(1+gamma)) whatever lam was, so the cost no longer grows with lam.
-The reduced lam' is known only as a float bracket [a, b].  nu(E) falls as
+Every other row is refined in its unit frame (:class:`_Batch`), where its
+derivative support is [0, 1] and its total variation 1.  Translation,
+scaling and dilation give F_lam(u) = v F_lam'(u') with lam' = lam
+w^(1+gamma) / v for a row of support width w and variation v, so the
+refinement sees unit-sized inputs whatever the row's coordinates.
+:func:`_reduced_lam` brackets lam' in logs as [a, b], and nu(E) falls as
 the threshold grows, so one refinement that tests "outside" at a and
 "inside" at b, with its truncation radius taken at a, encloses
-F_lam'(U) in [2a nu_lo, 2b nu_hi].  Below the float range, where lam'
-itself underflows, F_lam'(U) is within 2 lam'^(1/(1+gamma)) / gamma of
-2 / (1 + gamma) and takes that closed-form bound instead
-(:func:`_coarse_cantor_F`).  Every other row is refined at a = b = lam.
+F_lam'(u') in [2a nu_lo, 2b nu_hi]; v multiplies last.  A row made of
+one Cantor piece is the unit staircase U there.  U is the sum of its two
+thirds, U(3x)/2 and U(3x - 2)/2, and once lam' >= 3^(1+gamma) no pair
+touching both thirds exceeds, so F_lam'(U) = F_(lam'/rho)(U) with rho =
+3^(1+gamma)/2.  :func:`_reduced_lam` divides by rho while that holds,
+which lands lam' in [2, 3^(1+gamma)) whatever lam was.  Below the float
+range, where lam' underflows, F_lam'(U) is within 2 lam'^(1/(1+gamma)) /
+gamma of 2 / (1 + gamma) and takes that closed-form bound instead
+(:func:`_coarse_cantor_F`); any other row fails there.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ from .bvmodel import (
     _shape_deriv,
     _shape_unit,
     cantor_eval_array,
-    cantor_staircase,
 )
 from .numeasure import Enclosure, PlaneBox, as_gamma
 
@@ -130,6 +131,7 @@ _TNUDGE = 5e-15
 _LOG3 = math.log(3.0)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: Float error of the log-domain sum in :func:`_reduced_lam`, in units of
 #: eps times the sum of its terms' magnitudes.  Each term is a log (within
@@ -286,6 +288,15 @@ def _table(rows, fill, dtype=float, tail=()) -> np.ndarray:
     return out
 
 
+def _frame(u: BVFunction1D) -> tuple[float, float, float]:
+    """Origin o, width w and variation v of u's unit frame (:class:`_Batch`);
+    w = v = 1 for jumps only, and v = 1 for no variation."""
+    o, e = u.derivative_support() or (0.0, 0.0)
+    if all(isinstance(p, JumpPiece) for p in u.pieces):
+        return o, 1.0, 1.0
+    return o, e - o, u.total_variation or 1.0
+
+
 class _Batch:
     """Padded struct-of-arrays view of several functions' pieces.
 
@@ -293,10 +304,14 @@ class _Batch:
     (zero rise, zero height, far-away features) so a whole wave of boxes
     indexes the tables with plain fancy indexing.
 
-    Locations are stored relative to each section's ``origin``, the start
-    of its derivative support, so the support is [0, supp_w].  Boxes then
-    live near 0, and splitting resolves the same scales wherever the
-    function sits on the line; F is translation invariant.
+    Each section is stored in its unit frame (:func:`_frame`): x maps to
+    (x - o) / w and u to u / v, with o the start of its derivative
+    support, w that support's width and v its total variation, so the
+    support is [0, 1] and the variation 1; a lone Cantor piece becomes
+    the unit staircase.  Boxes then live near 0, and splitting resolves
+    the same scales wherever the function sits on the line and whatever
+    its size.  A jump-only section is only shifted by its ``origin`` o,
+    which keeps its closed form exact.  Each table entry is divided once.
 
     A polynomial piece's profile P lives on t in [0, 1].  Its tables are
     the coefficients ``pcoef`` and those of P' (``pder``), the interior
@@ -314,7 +329,6 @@ class _Batch:
         poly: list[list[SmoothPiece]] = []
         feats: list[list[float]] = []
         jump_only: list[bool] = []
-        hulls = []
         for u in funcs:
             js, sh, ca, po = [], [], [], []
             ft: list[float] = []
@@ -338,14 +352,11 @@ class _Batch:
             cantor.append(ca)
             poly.append(po)
             feats.append(ft)
-            hulls.append(u.derivative_support() or (0.0, 0.0))
         # Sections whose pieces are all jumps (constant ones included)
         # are evaluated in closed form from jloc/jh instead of refined.
         self.jump_only = np.array(jump_only, dtype=bool)
-        self.tv = np.array([u.total_variation for u in funcs], dtype=float)
-        supp = np.array(hulls, dtype=float).reshape(-1, 2)
-        self.origin = supp[:, 0]
-        self.supp_w = supp[:, 1] - supp[:, 0]
+        o, w, v = np.array([_frame(u) for u in funcs], dtype=float).reshape(-1, 3).T[..., None]
+        self.origin = o[:, 0]
 
         def rows(groups, get):
             return [[get(p) for p in v] for v in groups]
@@ -376,18 +387,20 @@ class _Batch:
         self.pder = _table(der, 0.0, tail=(D,))
         self.pcrit = _table(rows(poly, lambda p: p.profile.crit), np.nan, tail=(C,))
         self.pdcrit = _table(rows(poly, lambda p: p.profile.dcrit), np.nan, tail=(C2,))
+        self.feat = _table(feats, np.inf)
+        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb, self.feat):
+            t -= o
+            t /= w
+        for t in (self.jh, self.srise, self.crise):
+            t /= v
+        for t in (self.pcoef, self.pder):
+            t /= v[..., None]
         self.pcval = _polyval_grid(np.moveaxis(self.pcoef, -1, 0)[..., None], self.pcrit)
         self.pdval = np.abs(_polyval_grid(np.moveaxis(self.pder, -1, 0)[..., None], self.pdcrit))
         self.pvar = (self.pder[..., 1:] != 0.0).any(axis=-1)
-
-        self.feat = _table(feats, np.inf)
         self.Kj, self.Ks, self.Kc, self.Kp, self.Kf = (
             t.shape[1] for t in (self.jloc, self.sa, self.ca, self.pa, self.feat)
         )
-
-        o = self.origin[:, None]
-        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb, self.feat):
-            t -= o
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +660,19 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     ``owner`` maps each section to the function it is a part of (by
     default every section is its own function), and ``tol`` gives each
     function's width target in the units of ``weight``, a per-section
-    factor (the engine passes 2 |rise| b, so targets are in functional
-    units).  A function freezes, all its sections at once, in the first
-    wave where the sum over its sections of weight times unresolved mass
-    is at most its tol; its sections then keep that mass as slack.
+    factor (the engine passes 2 v b, v the frame's variation, so targets
+    are in functional units).  A function freezes, all its sections at
+    once, in the first wave where the sum over its sections of weight
+    times unresolved mass is at most its tol; its sections then keep that
+    mass as slack.
 
-    Returns per section (lo, slack), in kernel-measure units: lo bounds
-    nu(E_b) from below and lo + slack bounds nu(E_a) from above, so for a
-    single slope the certified enclosure is [lo, lo + slack].  Sections
-    not in ``rows`` get no boxes and read (0, 0).  The third array gives
-    per function ``tol_met``: it froze, or the weighted mass retired by
-    the depth cap, the wave cap or an unsplittable box is at most its
-    tol.
+    Returns per section (lo, slack), in kernel-measure units of its unit
+    frame (see :class:`_Batch`): lo bounds nu(E_b) from below and lo +
+    slack bounds nu(E_a) from above, so for a single slope the certified
+    enclosure is [lo, lo + slack].  Sections not in ``rows`` get no boxes
+    and read (0, 0).  The third array gives per function ``tol_met``: it
+    froze, or the weighted mass retired by the depth cap, the wave cap or
+    an unsplittable box is at most its tol.
     """
     S = B.S
     g = gamma
@@ -672,12 +686,12 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     frozen_extra = np.zeros(S)
     frozen = np.zeros(NF, dtype=bool)
 
-    # Root boxes: beyond separation H nothing exceeds, and pairs moving u
-    # must touch the derivative support.  H is padded a hair to absorb
-    # rounding in the power.
-    H = (B.tv[rows] / lam_a[rows]) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
+    # Root boxes: with variation 1, beyond separation H = a^(-1/(1+g))
+    # nothing exceeds, and pairs moving u must touch the support [0, 1].
+    # H is padded a hair to absorb rounding in the power and the tables.
+    H = (1.0 / lam_a[rows]) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
     x0 = -H
-    x1 = B.supp_w[rows]
+    x1 = np.ones(rows.size)
     h0 = np.zeros(rows.size)
     h1 = H.copy()
     sid = rows
@@ -696,10 +710,13 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
             up[sl], low[sl], xfeat[sl], xsmooth[sl] = _wave_bounds(
                 B, sid[sl], x0[sl], x1[sl], h0[sl], h1[sl]
             )
-        thr_lo = lam_a[sid] * h0 ** (1.0 + g)
-        thr_hi = lam_b[sid] * h1 ** (1.0 + g)
-        outside = up <= thr_lo
-        inside = ~outside & (low > thr_hi)
+        p0, p1 = h0 ** (1.0 + g), h1 ** (1.0 + g)
+        thr_lo = lam_a[sid] * p0
+        thr_hi = lam_b[sid] * p1
+        # A power below the normal range has lost its relative accuracy, so
+        # only an exact h0 = 0 or a normal power decides a box.
+        outside = (up <= thr_lo) & ((h0 == 0.0) | (p0 >= _TINY))
+        inside = ~outside & (low > thr_hi) & (p1 >= _TINY)
         mass = (x1 - x0) * (h1**g - h0**g) / g
         if inside.any():
             lo_acc += np.bincount(sid[inside], weights=mass[inside], minlength=S)
@@ -733,18 +750,19 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
         hm = np.where(bh0 == 0.0, bh1 * 2.0 ** (-1.0 / g), hk)
         ha = 0.5 * (bh0 + bh1)
         hm = np.where((hm > bh0) & (hm < bh1), hm, ha)
-        ok_x = (xm > bx0) & (xm < bx1)
-        ok_h = (hm > bh0) & (hm < bh1)
+        # Neither a box whose h1^(1+g) is below the normal range nor any
+        # of its children can read inside, so it is retired unsplit.
+        ok = p1[idx] >= _TINY
+        ok_x = (xm > bx0) & (xm < bx1) & ok
+        ok_h = (hm > bh0) & (hm < bh1) & ok
         bxw = bx1 - bx0
         bhw = bh1 - bh0
         # Point features (jumps, support ends, interior extrema) pay off
         # at any h, so split toward them while x is the wider side.
-        # Slope variation only matters relative to the support scale,
+        # Slope variation only matters relative to the support scale, 1,
         # and tightening the h band is relative to its own height, so
         # those boxes compare the two improvement ratios instead.
-        want_x = (xfeat[idx] & (bxw >= bhw)) | (
-            xsmooth[idx] & (bxw * bh1 >= bhw * B.supp_w[sid[idx]])
-        )
+        want_x = (xfeat[idx] & (bxw >= bhw)) | (xsmooth[idx] & (bxw * bh1 >= bhw))
         do_x = (want_x & ok_x) | (~ok_h & ok_x)
         do_h = ~do_x & ok_h
         dead = ~do_x & ~do_h
@@ -763,9 +781,9 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
         depth += 1
         # Free this wave's arrays before the next, larger wave allocates
         # its own; the deepest waves set the run's peak memory.
-        del up, low, xfeat, xsmooth, thr_lo, thr_hi, outside, inside, mass
+        del up, low, xfeat, xsmooth, p0, p1, thr_lo, thr_hi, outside, inside, mass
         del mixed, keep, idx, bx0, bx1, bh0, bh1, xm, hk
-        del hm, ha, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
+        del hm, ha, ok, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
 
     slack = np.where(frozen[owner], frozen_extra, stuck)
     tol_met = frozen | (np.bincount(owner, weights=weight * stuck, minlength=NF) <= tol)
@@ -925,42 +943,42 @@ def _jump_sections_F(B: _Batch, rows, gamma, lam):
 # ---------------------------------------------------------------------------
 
 
-def _reduced_lam(lam: float, g: float, piece: CantorPiece) -> tuple[float, float]:
-    """Float bracket [a, b] of the threshold at which the unit staircase's
-    F, times |rise|, is the functional of ``piece`` at ``lam``.
+def _reduced_lam(lam: float, g: float, w: float, tv: float, periodic: bool) -> tuple[float, float]:
+    """Float bracket [a, b] of a row's threshold in its unit frame.
 
-    That threshold is lam w^(1+g) / |rise| / rho^k with w the support
-    width and rho = 3^(1+g)/2, where k counts the divisions by rho made
-    while the bracket's lower end is at least 3^(1+g) (see the module
-    docstring).  The sum of logs carries a bound on its float error, so
-    an input whose lam w^(1+g) alone overflows still reduces.  Where the
+    For a row of support width w and total variation tv that threshold
+    is lam w^(1+g) / tv.  A ``periodic`` row, one Cantor piece, is the
+    unit staircase there, and the threshold is divided by rho =
+    3^(1+g)/2 while the bracket's lower end is at least 3^(1+g) (see the
+    module docstring).  The sum of logs carries a bound on its float
+    error, so an input whose lam w^(1+g) alone overflows still reduces.
+    Raises ValueError when a log or the bracket overflows, or when the
     lower end is too small for a refinement (zero, or with 1 / a
-    overflowing), a is returned as 0 and the row takes the closed-form
-    bound of :func:`_coarse_cantor_F`.  Raises ValueError when the
-    bracket overflows.
+    overflowing) in a row that is not periodic; a periodic one then gets
+    a = 0 and takes the closed-form bound of :func:`_coarse_cantor_F`.
     """
-    lo, hi = piece.support
     e = 1.0 + g
     ln_rho = e * _LOG3 - math.log(2.0)
     # An upper bound of log 3^(1+g), so a division is made only where the
     # true threshold is at least 3^(1+g).
     ln_top = e * _LOG3 * (1.0 + 4.0 * _EPS)
-    terms = [math.log(lam), e * math.log(hi - lo), -math.log(abs(piece.rise))]
+    terms = [math.log(lam), e * math.log(w), -math.log(tv)]
     if not all(map(math.isfinite, terms)):
-        raise ValueError(f"cannot reduce lam {lam!r} for {piece}: its log overflows")
+        raise ValueError(f"cannot reduce lam {lam!r}: its log overflows")
 
     def bracket(k):
         t = [*terms, -k * ln_rho]
         m = math.fsum(t)
-        # hi - lo rounds by at most u relative, which moves e log w by e u
-        # whatever the size of the log; e eps covers that twice.
+        # A support width hi - lo rounds by at most u relative, which
+        # moves e log w by e u whatever the size of the log; e eps covers
+        # that twice.
         r = _LOG_ERR * _EPS * math.fsum(map(abs, t)) + e * _EPS
         return m - r, m + r
 
-    k = max(0, math.floor((bracket(0)[0] - ln_top) / ln_rho) + 1)
+    k = max(0, math.floor((bracket(0)[0] - ln_top) / ln_rho) + 1) if periodic else 0
     while k > 0 and bracket(k - 1)[0] < ln_top:
         k -= 1
-    while bracket(k)[0] >= ln_top:
+    while periodic and bracket(k)[0] >= ln_top:
         k += 1
     ln_a, ln_b = bracket(k)
     try:
@@ -968,16 +986,18 @@ def _reduced_lam(lam: float, g: float, piece: CantorPiece) -> tuple[float, float
         b = math.nextafter(math.exp(ln_b) * (1.0 + 4.0 * _EPS), math.inf)
     except OverflowError:
         a = b = math.inf
+    where = f"the unit-frame lam at lam {lam!r}, log bracket [{ln_a!r}, {ln_b!r}],"
     if not math.isfinite(b):
-        raise ValueError(
-            f"cannot bracket the reduced lam of {piece} at lam {lam!r} in finite "
-            f"floats: log bracket [{ln_a!r}, {ln_b!r}]"
-        )
-    return (a if a > 0.0 and math.isfinite(1.0 / a) else 0.0), b
+        raise ValueError(f"cannot bracket {where} in finite floats")
+    if not (a > 0.0 and math.isfinite(1.0 / a)):
+        if not periodic:
+            raise ValueError(f"{where} is below the float range")
+        a = 0.0
+    return a, b
 
 
-def _coarse_cantor_F(rise: float, b: float, g: float) -> tuple[float, float]:
-    """Certified enclosure of F of a Cantor piece of rise ``rise`` whose
+def _coarse_cantor_F(r: float, b: float, g: float) -> tuple[float, float]:
+    """Certified enclosure of F of a Cantor piece of variation r whose
     threshold, mapped to the unit staircase U, is at most b.
 
     At threshold lam' the pairs that move U by its whole rise exceed for
@@ -994,7 +1014,6 @@ def _coarse_cantor_F(rise: float, b: float, g: float) -> tuple[float, float]:
     d = 2.0 * s / g
     # mid and d each took at most two roundings, u each.
     lo, hi = _widen(mid, d + 2.0 * _EPS * (mid + d))
-    r = abs(rise)
     F_lo = math.nextafter(r * float(lo), 0.0)
     return F_lo, math.nextafter(r * float(hi), math.inf)
 
@@ -1066,26 +1085,25 @@ def f_enclosures_batch(
     each, and its enclosure is the sum of its rows' enclosures, rounded
     outward.  A row made of jumps only, constant ones included, is
     evaluated in closed form (:func:`_jump_sections_F`); a constant one
-    gives exactly [0, 0].  A row made of one Cantor piece is refined as
-    |rise| times the unit staircase at the bracket of
-    :func:`_reduced_lam`, or bounded by :func:`_coarse_cantor_F` below the
-    float range.  Every other row is refined as it is.
+    gives exactly [0, 0].  Every other row is refined in its unit frame
+    at the bracket of :func:`_reduced_lam`; a row made of one Cantor piece
+    takes :func:`_coarse_cantor_F` below the float range instead.
 
     A function's rows share its tol: the closed-form rows' widths are
     taken off it, and the refinement freezes the function once its
-    rows' unresolved slack, each in functional units (2 |rise| b for a
-    row refined at [a, b]), sums to at most the rest; a function of one
-    row freezes by the same rule.  Every refined row's ends are rounded
-    outward, and ``tol_met`` holds where the refinement met its target
-    and the function's final width is at most its tol.  Each
-    function freezes on its own and keeps its boxes in their own order,
-    so its enclosure is the one it gets alone at its own slope, as long
-    as the call's live boxes, summed over all its rows, stay within
+    rows' unresolved slack, each in functional units (2 v b for a row of
+    frame variation v refined at [a, b]), sums to at most the rest; a
+    function of one row freezes by the same rule.  Every refined row's
+    ends are rounded outward, and ``tol_met`` holds where the refinement
+    met its target and the function's final width is at most its tol.
+    Each function freezes on its own and keeps its boxes in their own
+    order, so its enclosure is the one it gets alone at its own slope, as
+    long as the call's live boxes, summed over all its rows, stay within
     ``_WAVE_CAP``.
 
     After the arguments are checked, a function fails where a row's jump
-    cutoffs or masses, Cantor bracket, or ends are not finite, and the
-    call raises :class:`EvaluationError` with every result and reason.
+    cutoffs or masses or its ends are not finite, or its threshold bracket
+    leaves the float range, and the call raises :class:`EvaluationError` with every result and reason.
     numpy's float warnings are off, as these checks stand in for them.
     """
     if np.ndim(lam) == 0:
@@ -1103,19 +1121,14 @@ def f_enclosures_batch(
     n_rows = np.array([len(p) for p in parts], dtype=np.intp)
     owner = np.repeat(np.arange(len(funcs)), n_rows)
     first = np.cumsum(n_rows) - n_rows
-    cantor = np.array(
-        [len(v.pieces) == 1 and isinstance(v.pieces[0], CantorPiece) for v in rows],
-        dtype=bool,
-    )
-    unit = cantor_staircase()
-    batch = _Batch([unit if c else v for v, c in zip(rows, cantor)])
-    # Per row: a threshold bracket [a, b] and the factor |rise| that maps
-    # the unit staircase back; a = b = its function's lam and 1 for rows
-    # kept as they are.  Rows in closed form get their enclosure C before
-    # the refinement.
+    batch = _Batch(rows)
+    # Per row: a bracket [a, b] of its threshold in its unit frame and the
+    # frame's variation v, which maps the frame's F back; jump-only rows
+    # keep a = b = their function's lam and v = 1.  Rows in closed form
+    # get their enclosure C before the refinement.
     lam_r = np.array(lam_f, dtype=float)[owner]
     lam_ab = np.stack([lam_r, lam_r])
-    fac = np.ones(batch.S)
+    var = np.ones(batch.S)
     closed = batch.jump_only.copy()
     C = np.zeros((2, batch.S))
     exact = np.nonzero(closed)[0]
@@ -1123,20 +1136,19 @@ def f_enclosures_batch(
     reasons = {}  # function -> why it gets no enclosure
     for f in owner[exact[bad]]:
         reasons[f] = f"jump cutoffs or masses are not finite at lam {lam_f[f]!r}"
-    for k in np.nonzero(cantor)[0]:
-        piece = rows[k].pieces[0]
+    for k in np.nonzero(~closed)[0]:
+        _, w, var[k] = _frame(rows[k])
+        cantor = len(rows[k].pieces) == 1 and isinstance(rows[k].pieces[0], CantorPiece)
         try:
-            lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, piece)
+            lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, w, var[k], cantor)
         except ValueError as exc:
-            reasons.setdefault(owner[k], str(exc))
+            reasons.setdefault(owner[k], f"row {k - first[owner[k]]}: {exc}")
             continue
-        fac[k] = abs(piece.rise)
         if lam_ab[0, k] == 0.0:
             closed[k] = True
-            C[:, k] = _coarse_cantor_F(piece.rise, lam_ab[1, k], g)
-    scale = 2.0 * fac * lam_ab
+            C[:, k] = _coarse_cantor_F(var[k], lam_ab[1, k], g)
     if q.tol is None:
-        tv = np.bincount(owner, weights=fac * batch.tv, minlength=len(funcs))
+        tv = np.array([u.total_variation for u in funcs])
         tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * tv / (1.0 + g))
     else:
         tol_f = np.full(len(funcs), q.tol)
@@ -1148,12 +1160,13 @@ def f_enclosures_batch(
     failed = np.isin(np.arange(len(funcs)), list(reasons))
     refine = np.nonzero(~closed & ~failed[owner])[0]
     lo, slack, met = _split_wave(
-        batch, g, lam_ab, tol_w, q.max_depth, refine, scale[1], owner
+        batch, g, lam_ab, tol_w, q.max_depth, refine, 2.0 * lam_ab[1] * var, owner
     )
-    # Each end took up to three roundings, u each: 2 fac lam, its product
-    # with lo, and lo + slack.
-    F_lo = np.nextafter(scale[0] * lo * (1.0 - 2.0 * _EPS), 0.0)
-    F_hi = np.nextafter(scale[1] * (lo + slack) * (1.0 + 2.0 * _EPS), np.inf)
+    # Each end took up to three roundings, u each: lo + slack, the product
+    # with 2a or 2b, and the product with v, taken last so that an end
+    # overflows only where F does.
+    F_lo = np.nextafter(var * (2.0 * lam_ab[0] * lo) * (1.0 - 2.0 * _EPS), 0.0)
+    F_hi = np.nextafter(var * (2.0 * lam_ab[1] * (lo + slack)) * (1.0 + 2.0 * _EPS), np.inf)
     F_lo[closed], F_hi[closed] = C[:, closed]
     # A function of one row reads that row; the rows of any other are
     # summed with outward rounding.
@@ -1193,29 +1206,26 @@ def F_value(u: BVFunction1D, query: ExceedanceQuery) -> Enclosure:
     )[0]
 
 
-def _shifted(x: float, o: float, outward: float) -> float:
-    """x - o, moved one ulp toward ``outward`` when the difference rounded,
-    so a shifted box still covers the given one."""
-    s = x - o
-    return s if math.fsum((x, -o, -s)) == 0.0 else math.nextafter(s, outward)
+def _outward(q: Fraction, toward: float) -> float:
+    """The float nearest q, moved one ulp toward the infinity ``toward``
+    where it rounded the other way."""
+    f = float(q)
+    return math.nextafter(f, toward) if (f > q if toward < 0 else f < q) else f
 
 
 def pair_increment_bounds(u: BVFunction1D, box: PlaneBox) -> tuple[float, float]:
-    """Certified (lower, upper) bounds of |u(x+h) - u(x)| over a box."""
-    batch = _Batch([u])
+    """Certified (lower, upper) bounds of |u(x+h) - u(x)| over a box, taken
+    in u's unit frame with the box and the bounds mapped outward."""
+    o, w, v = (Fraction(c) for c in _frame(u))
     (x0, x1), (h0, h1) = box.x_interval, box.h_interval
-    o = float(batch.origin[0])
-    x0 = _shifted(x0, o, -math.inf)
-    x1 = _shifted(x1, o, math.inf)
+    ends = [(Fraction(x0) - o, -math.inf), (Fraction(x1) - o, math.inf)]
+    ends += [(Fraction(h0), -math.inf), (Fraction(h1), math.inf)]
     up, low, _, _ = _wave_bounds(
-        batch,
+        _Batch([u]),
         np.zeros(1, dtype=np.intp),
-        np.array([x0]),
-        np.array([x1]),
-        np.array([h0]),
-        np.array([h1]),
+        *(np.array([_outward(d / w, t)]) for d, t in ends),
     )
-    return float(low[0]), float(up[0])
+    return _outward(Fraction(low[0]) * v, -math.inf), _outward(Fraction(up[0]) * v, math.inf)
 
 
 def classify_box(u: BVFunction1D, box: PlaneBox, query: ExceedanceQuery) -> BoxVerdict:

@@ -222,7 +222,8 @@ def test_lambda_sweep_matches_points_alone(monkeypatch, case, gamma):
 
 
 def test_lambda_sweep_keeps_the_points_the_engine_answers(monkeypatch):
-    # Below lam 1e-100 the refined ends overflow.  Under the suite's
+    # Below lam 1e-100 this function's unit-frame lam, lam / 2e200,
+    # underflows (its refined ends once overflowed).  Under the suite's
     # error::RuntimeWarning filter this once escaped as a RuntimeWarning;
     # without it, the grid was refined once as a batch and again point by
     # point.  Now one engine call records the four failures, and the last
@@ -240,7 +241,8 @@ def test_lambda_sweep_keeps_the_points_the_engine_answers(monkeypatch):
     assert sweep.enclosures[:4] == (None,) * 4
     assert [lam for lam, _ in sweep.failures] == list(sweep.lambdas[:4])
     for lam, msg in sweep.failures:
-        assert msg.startswith("ValueError: refined ends") and msg.endswith(f"at lam {lam!r}")
+        assert msg.startswith(f"ValueError: row 0: the unit-frame lam at lam {lam!r},")
+        assert msg.endswith("is below the float range")
     (alone,) = f_enclosures_batch([u], 1.0, sweep.lambdas[4], None, 12)
     assert _bits(sweep.enclosures[4]) == _bits(alone)
 

@@ -198,8 +198,9 @@ def test_sweep_outputs(tmp_path):
 
 
 def test_sweep_reports_engine_failures_per_point(tmp_path):
-    # Below lam 1e-100 the refined ends of this function overflow.  Under
-    # the suite's error::RuntimeWarning filter that once escaped the run.
+    # Below lam 1e-100 this function's unit-frame lam, lam / 2e200,
+    # underflows.  Under the suite's error::RuntimeWarning filter its
+    # overflowing refined ends once escaped the run.
     out = tmp_path / "run"
     cfg = write_config(
         tmp_path,
@@ -223,7 +224,8 @@ def test_sweep_reports_engine_failures_per_point(tmp_path):
         assert res[key][:4] == [None] * 4 and res[key][4] is not None
     assert [lam for lam, _ in res["failures"]] == res["lambdas"][:4]
     for lam, msg in res["failures"]:
-        assert msg == f"ValueError: refined ends [0.0, inf] are not finite at lam {lam!r}"
+        assert msg.startswith(f"ValueError: row 0: the unit-frame lam at lam {lam!r},")
+        assert msg.endswith("is below the float range")
 
 
 def test_verify_pass_on_single_jump(tmp_path, capsys):

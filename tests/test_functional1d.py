@@ -1,5 +1,6 @@
 """Tests for the certified branch-and-bound functional evaluation."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -27,6 +28,7 @@ from nugamma.functional1d import (
     BoxVerdict,
     _Batch,
     _clusters,
+    _frame,
     _reduced_lam,
     _split_wave,
     _wave_bounds,
@@ -173,17 +175,21 @@ def test_batch_tables_pad_inertly():
         BVFunction1D(pieces=(), base_value=1.0),
     ]
     B = _Batch(funcs)
+    # The jump-only rows are shifted to their origin; the middle row is
+    # also mapped to its unit frame, x -> x / 4 and u -> u / v.
+    v = funcs[1].total_variation
     assert (B.S, B.Kj, B.Ks, B.Kc, B.Kp) == (3, 1, 1, 0, 1)
     assert B.origin.tolist() == [1.0, 0.0, 0.0]
     assert B.jump_only.tolist() == [True, False, True]
-    assert B.jloc.tolist() == [[0.0], [4.0], [math.inf]]
-    assert B.jh.tolist() == [[2.0], [-1.0], [0.0]]
+    assert B.jloc.tolist() == [[0.0], [1.0], [math.inf]]
+    assert B.jh.tolist() == [[2.0], [-1.0 / v], [0.0]]
     assert B.scode.dtype == np.int8 and B.shapes == [_SHAPE_CODE["sine"]]
-    assert B.sb.tolist() == [[0.0], [1.0], [1.0]]
-    assert B.srise.tolist() == [[0.0], [1.0], [0.0]]
+    assert B.sb.tolist() == [[0.0], [0.25], [1.0]]
+    assert B.srise.tolist() == [[0.0], [1.0 / v], [0.0]]
     assert B.ca.shape == B.cb.shape == B.crise.shape == (3, 0)
-    assert B.pcoef.tolist()[1] == [[0.0, 1.0, -3.0, 2.0]]
-    assert B.pder.tolist()[1] == [[1.0, -6.0, 6.0, 0.0]]
+    assert (B.pa[1, 0], B.pb[1, 0]) == (0.5, 0.75)
+    assert B.pcoef.tolist()[1] == [[c / v for c in (0.0, 1.0, -3.0, 2.0)]]
+    assert B.pder.tolist()[1] == [[c / v for c in (1.0, -6.0, 6.0, 0.0)]]
     assert not B.pcoef[[0, 2]].any() and not B.pder[[0, 2]].any()
     assert B.pvar.tolist() == [[False], [True], [False]]
     assert np.isnan(B.pcrit[[0, 2]]).all() and np.isnan(B.pdcrit[[0, 2]]).all()
@@ -192,8 +198,8 @@ def test_batch_tables_pad_inertly():
     # |P'| there, and NaN in padded slots.
     prof = funcs[1].pieces[1].profile
     crit, dcrit = np.array(prof.crit), np.array(prof.dcrit)
-    assert B.pcval[1, 0].tolist() == npoly.polyval(crit, prof.coeffs).tolist()
-    dval = np.abs(npoly.polyval(dcrit, npoly.polyder(prof.coeffs)))
+    assert B.pcval[1, 0].tolist() == npoly.polyval(crit, B.pcoef[1, 0]).tolist()
+    dval = np.abs(npoly.polyval(dcrit, npoly.polyder(B.pcoef[1, 0])))
     assert B.pdval[1, 0].tolist() == dval.tolist()
     assert np.isnan(B.pcval[[0, 2]]).all() and np.isnan(B.pdval[[0, 2]]).all()
     # Padded slots never enter a bound: beside a quintic, a cubic's row is
@@ -325,9 +331,8 @@ def test_pieces_sum_left_to_right(family):
     # A row's signed intervals are summed left to right over its pieces of
     # one family, however many there are; numpy's own sum pairs them from
     # 8 terms on.  Each piece is monotone, so its interval follows from its
-    # bounds, read off a batch of that piece alone.  Such a batch stores
-    # locations relative to the piece's own start, so every coordinate
-    # sits on a grid of 2^-30, where the shifts and sums are exact.
+    # bounds, read off the row's batch with every other piece zeroed: the
+    # same unit frame, where a zero piece adds exactly 0.
     rng = np.random.default_rng(11)
     for n_pieces in (9, 12):
         size = np.where(rng.random(n_pieces) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(
@@ -342,14 +347,16 @@ def test_pieces_sum_left_to_right(family):
                 for a, c in zip(starts.tolist(), size.tolist())
             ]
         n = 2000
-        boxes = _random_boxes(rng, n, -0.5, 0.25 * n_pieces)
-        x0, x1, h0, h1 = (np.round(v * 2.0**30) / 2.0**30 for v in boxes)
+        x0, x1, h0, h1 = _random_boxes(rng, n, -0.2, 1.0)
         zero = np.zeros(n, dtype=np.intp)
-        up, low, _, _ = _wave_bounds(_Batch([BVFunction1D(tuple(pieces))]), zero, x0, x1, h0, h1)
+        row = BVFunction1D(tuple(pieces))
+        up, low, _, _ = _wave_bounds(_Batch([row]), zero, x0, x1, h0, h1)
         ends = []
-        for p, a, c in zip(pieces, starts, size):
-            B = _Batch([BVFunction1D((p,))])
-            p_up, p_low, _, _ = _wave_bounds(B, zero, x0 - a, x1 - a, h0, h1)
+        for k, c in enumerate(size):
+            B = _Batch([row])
+            for t in (B.jh,) if family == "jump" else (B.pcoef, B.pder):
+                t[0, np.arange(n_pieces) != k] = 0.0
+            p_up, p_low, _, _ = _wave_bounds(B, zero, x0, x1, h0, h1)
             ends.append((p_low, p_up) if c > 0 else (-p_up, -p_low))
         for i in range(n):
             L, U = ends[0][0][i], ends[0][1][i]
@@ -487,7 +494,8 @@ def test_cantor_map_brackets_reduced_lam(gamma):
     top = 3.0 ** (1.0 + gamma)
     for piece, lam_m in _CANTOR_MAPS:
         lam = _cantor_map_lam(piece, lam_m, gamma)
-        a, b = _reduced_lam(lam, gamma, piece)
+        w = piece.support[1] - piece.support[0]
+        a, b = _reduced_lam(lam, gamma, w, abs(piece.rise), True)
         assert Decimal(a) <= _reduced_lam_decimal(lam, gamma, piece) <= Decimal(b)
         assert 0.0 < b - a <= 1e-10 * b
         if lam_m is None or lam_m >= top:
@@ -554,7 +562,13 @@ def test_unrepresentable_thresholds_raise(u, lam, match):
         (BVFunction1D((cantor_piece(0.0, 1e-200, 1e308),)), 0.1, 1e-100, "closed-form ends"),
         # The support's width, 2e308, overflows.
         (BVFunction1D((cantor_piece(-1e308, 1e308, 1.0),)), 1.0, 1.0, "cannot reduce lam"),
-        (BVFunction1D((affine_ramp(0, 1, 1e200), JumpPiece(0.5, 1e200))), 1.0, 1e-200, "refined ends"),
+        # Its unit-frame lam, 1e-200 / 2e200, underflows.
+        (
+            BVFunction1D((affine_ramp(0, 1, 1e200), JumpPiece(0.5, 1e200))),
+            1.0,
+            1e-200,
+            "row 0: the unit-frame lam",
+        ),
         # Three parts, each enclosed in floats, whose sum is not: math.fsum
         # raises OverflowError for it.
         (
@@ -636,6 +650,44 @@ def test_tol_met_implies_the_width_fits():
     assert any(e.tol_met for e in encs) and not all(e.tol_met for e in encs)
     for enc in encs:
         assert enc.width <= tol or not enc.tol_met
+
+
+@pytest.mark.parametrize(
+    "c, s",
+    [
+        (1e300, 1e150),
+        (1e-300, 1e-150),
+        (1e200, 1e199),
+        (-1e-200, 1e-199),
+        (1e250, 1e125),
+        (1e-250, 1e-125),
+    ],
+)
+def test_scaling_law_holds_across_the_float_range(c, s):
+    # F_lam(c u(./s)) = |c| F_lam'(u) with lam' = lam s^(1+g) / |c|, so
+    # every row refined in its unit frame gets the same answer whatever
+    # the size of its coordinates.  Refined raw, the ramp and jump gave
+    # [10.002, 10.018] c at c = 1e300, [0, 5e-324] at c = -1e-200 and a
+    # failure at c = 1e200, and the ramp alone 2.5 times its value at
+    # c = 1e250.
+    g, lam, tol = 1.0, 100.0, 0.02
+    for u in (
+        BVFunction1D((affine_ramp(0.0, 1.0, 1.0), JumpPiece(0.5, 1.0))),
+        BVFunction1D((affine_ramp(0.0, 1.0, 1.0),)),
+    ):
+        (ref,) = f_enclosures_batch([u], g, lam, tol, 24)
+        scaled = u.scaled(c).dilated(s)
+        (enc,) = f_enclosures_batch([scaled], g, lam * (abs(c) / s) / s, tol * abs(c), 24)
+        assert enc.overlaps(ref.scaled(abs(c))), (u, c, s, enc, ref)
+
+
+@pytest.mark.parametrize("lam", [1e290, 1e300])
+def test_underflowing_thresholds_decide_no_box(lam):
+    # Deep in the refinement h1^(1+g) underflows; read as a threshold of 0
+    # it let boxes read as inside, and lo came out near 1.6e182 and 5.4e192
+    # although F is about 4.
+    (enc,) = f_enclosures_batch([BVFunction1D((affine_ramp(0.0, 1.0, 1.0),))], 0.5, lam, 1e-2, 40)
+    assert enc.lo <= 4.0 < enc.hi
 
 
 @pytest.mark.parametrize(
@@ -831,8 +883,12 @@ def test_pair_increment_bounds_bracket_samples():
         (polynomial_piece(0.0, 1.0, (0.0, 0.0, 1.0, -2.0, 1.0)),),
         (polynomial_piece(0.0, 1.0, QUINTIC),),
     ]
-    for pieces in families:
-        u = BVFunction1D(pieces=pieces)
+    # Scaled and dilated copies map their boxes into the same unit frame;
+    # raw, the polynomial bounds' h0 |P'| overflowed at the first one.
+    for pieces, (c, s) in itertools.product(
+        families, [(1.0, 1.0), (1e250, 1e125), (-1e-250, 1e-125)]
+    ):
+        u = BVFunction1D(pieces=pieces).scaled(c).dilated(s)
         rng = np.random.default_rng(23)
         boxes = []
         for _ in range(50):
@@ -846,21 +902,21 @@ def test_pair_increment_bounds_bracket_samples():
             h0 = rng.uniform(0.001, 0.3)
             dx, dh = 10.0 ** rng.uniform(-5.0, -1.0, size=2)
             boxes.append((x0, x0 + dx, h0, h0 + dh))
-        for x0, x1, h0, h1 in boxes:
-            if x1 - x0 < 1e-6 or h1 - h0 < 1e-6:
+        for box in boxes:
+            if box[1] - box[0] < 1e-6 or box[3] - box[2] < 1e-6:
                 continue
-            box = PlaneBox((float(x0), float(x1)), (float(h0), float(h1)))
-            low, up = pair_increment_bounds(u, box)
+            x0, x1, h0, h1 = (s * float(v) for v in box)
+            low, up = pair_increment_bounds(u, PlaneBox((x0, x1), (h0, h1)))
             # Every pair lies in [x0, x1 + h1], so the scalar oscillation
             # oracle bounds the engine's upper end; the slack covers the
             # Cantor span nudge.
-            osc = u.oscillation_bound((float(x0), float(x1 + h1)))
+            osc = u.oscillation_bound((x0, x1 + h1))
             assert up <= osc + 1e-8 * u.total_variation
             xs = rng.uniform(x0, x1, size=25)
             hs = rng.uniform(h0, h1, size=25)
             for x, h in zip(xs, hs):
                 d = abs(u.eval(float(x + h)) - u.eval(float(x)))
-                assert low - 1e-12 <= d <= up + 1e-12
+                assert low - 1e-12 * abs(c) <= d <= up + 1e-12 * abs(c), (c, box)
 
 
 def _opposite_jumps_F(d, gamma, lam):
@@ -894,14 +950,27 @@ def test_opposite_jumps_closed_form(sign, d, gamma):
 
 def _refined(funcs, gamma, lam, tol, max_depth):
     """Branch-and-bound enclosures of every function, jump-only ones too,
-    each frozen, rounded and checked as the engine does a one-row
-    function."""
-    B = _Batch(funcs)
-    scale = 2.0 * lam
+    each refined in its unit frame at the threshold bracket of
+    :func:`_reduced_lam`, with no reduction, and frozen, rounded and
+    checked as the engine does a one-row function.  A jump-only function,
+    which the batch only shifts, is scaled to unit variation first."""
+    frames, rows = [], []
+    for u in funcs:
+        _, w, v = _frame(u)
+        if all(isinstance(p, JumpPiece) for p in u.pieces):
+            v = u.total_variation
+            u = u.scaled(1.0 / v)
+        frames.append((w, v))
+        rows.append(u)
+    B = _Batch(rows)
+    v = np.array([f[1] for f in frames])
+    a, b = np.array([_reduced_lam(lam, gamma, w, vk, False) for w, vk in frames]).T
     eps = np.finfo(float).eps
-    lo, slack, met = _split_wave(B, gamma, lam, tol, max_depth, np.arange(B.S), weight=scale)
-    F_lo = np.nextafter(scale * lo * (1.0 - 2.0 * eps), 0.0)
-    F_hi = np.nextafter(scale * (lo + slack) * (1.0 + 2.0 * eps), np.inf)
+    lo, slack, met = _split_wave(
+        B, gamma, np.stack([a, b]), tol, max_depth, np.arange(B.S), weight=2.0 * b * v
+    )
+    F_lo = np.nextafter(v * (2.0 * a * lo) * (1.0 - 2.0 * eps), 0.0)
+    F_hi = np.nextafter(v * (2.0 * b * (lo + slack)) * (1.0 + 2.0 * eps), np.inf)
     met &= F_hi - F_lo <= tol
     return [Enclosure(F_lo[k], F_hi[k], bool(met[k])) for k in range(B.S)]
 
