@@ -14,8 +14,8 @@ The computation is a branch-and-bound over axis-aligned boxes in the
 (x, h) plane.  For each box we certify an upper and a lower bound on the
 pair increment |u(x + h) - u(x)|; comparing these against the threshold
 at the box's h-extremes classifies the box as fully inside E, fully
-outside, or mixed.  Mixed boxes are bisected, the split point on the
-h axis chosen so that both children carry equal kernel mass.  Inside
+outside, or mixed.  Mixed boxes are bisected, on the h axis at the
+midpoint in s = h^gamma, where the kernel is dx ds / gamma.  Inside
 mass accumulates into the enclosure's lower end; unresolved mass widens
 the upper end.  All boxes of a run live in flat numpy arrays, so many
 sections (as used by the N-dimensional sectioning estimator), or one
@@ -81,9 +81,7 @@ from .bvmodel import (
     BVFunction1D,
     CantorPiece,
     JumpPiece,
-    PolynomialProfile,
     ShapedRamp,
-    SmoothPiece,
     _SHAPE_CODE,
     _shape_deriv,
     _shape_unit,
@@ -270,16 +268,18 @@ def _polyval_grid(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return r
 
 
-def _table(rows, fill, dtype=float, tail=()) -> np.ndarray:
-    """Stack ragged per-section rows into one array padded with ``fill``.
-
-    ``rows[i]`` lists section i's entries, so the result has shape
-    (len(rows), longest row, *tail).  With a ``tail`` every entry is a
-    sequence no longer than tail[0], padded the same way.
-    """
-    out = np.full((len(rows), max(map(len, rows), default=0), *tail), fill, dtype=dtype)
+def _table(groups, get, fill, dtype=float, tail=(), o=None, w=None) -> np.ndarray:
+    """get(p) over each section's pieces in ``groups``, stacked into one
+    array of shape (len(groups), most pieces, *tail) padded with ``fill``;
+    with a ``tail``, get(p) is a sequence no longer than tail[0].  Given
+    ``w``, section i's entries (each element of a sequence) are written as
+    (e - o[i]) / w[i], o = 0 by default, before the padding."""
+    out = np.full((len(groups), max(map(len, groups), default=0), *tail), fill, dtype=dtype)
     if out.size:
-        for i, row in enumerate(rows):
+        for i, row in enumerate([get(p) for p in g] for g in groups):
+            if w is not None:
+                a, b = (0.0 if o is None else o[i]), w[i]
+                row = [[(c - a) / b for c in e] if tail else (e - a) / b for e in row]
             if tail:
                 for k, v in enumerate(row):
                     out[i, k, : len(v)] = v
@@ -300,18 +300,17 @@ def _frame(u: BVFunction1D) -> tuple[float, float, float]:
 class _Batch:
     """Padded struct-of-arrays view of several functions' pieces.
 
-    Sections with different piece counts are padded with inert slots
-    (zero rise, zero height, far-away features) so a whole wave of boxes
-    indexes the tables with plain fancy indexing.
+    Each entry is written in its section's unit frame (:func:`_frame`),
+    kept as ``origin`` o, ``width`` w and ``var`` v: x maps to (x - o) / w
+    and u to u / v, so the support is [0, 1] and the variation 1; a lone
+    Cantor piece becomes the unit staircase.  Boxes then live near 0, and
+    splitting resolves the same scales wherever the function sits on the
+    line and whatever its size.  A jump-only section is only shifted by
+    o, which keeps its closed form exact.  Each entry is divided once.
 
-    Each section is stored in its unit frame (:func:`_frame`): x maps to
-    (x - o) / w and u to u / v, with o the start of its derivative
-    support, w that support's width and v its total variation, so the
-    support is [0, 1] and the variation 1; a lone Cantor piece becomes
-    the unit staircase.  Boxes then live near 0, and splitting resolves
-    the same scales wherever the function sits on the line and whatever
-    its size.  A jump-only section is only shifted by its ``origin`` o,
-    which keeps its closed form exact.  Each table entry is divided once.
+    Then sections with different piece counts are padded with inert slots
+    (zero rise, support [0, 1], jumps at +inf) so a whole wave of boxes
+    indexes the tables with plain fancy indexing.
 
     A polynomial piece's profile P lives on t in [0, 1].  Its tables are
     the coefficients ``pcoef`` and those of P' (``pder``), the interior
@@ -323,84 +322,52 @@ class _Batch:
 
     def __init__(self, funcs: Sequence[BVFunction1D]):
         self.S = len(funcs)
-        jumps: list[list[JumpPiece]] = []
-        shaped: list[list[SmoothPiece]] = []
-        cantor: list[list[CantorPiece]] = []
-        poly: list[list[SmoothPiece]] = []
-        feats: list[list[float]] = []
-        jump_only: list[bool] = []
-        for u in funcs:
-            js, sh, ca, po = [], [], [], []
-            ft: list[float] = []
+        jumps, cantor, shaped, poly = ([[] for _ in funcs] for _ in range(4))
+        for i, u in enumerate(funcs):
             for p in u.pieces:
                 if isinstance(p, JumpPiece):
-                    js.append(p)
-                    ft.append(p.location)
-                    continue
-                ft.extend(p.support)
-                if isinstance(p, CantorPiece):
-                    ca.append(p)
-                elif isinstance(p.profile, ShapedRamp):
-                    sh.append(p)
+                    jumps[i].append(p)
+                elif isinstance(p, CantorPiece):
+                    cantor[i].append(p)
                 else:
-                    po.append(p)
-                    a, b = p.support
-                    ft.extend(a + c * (b - a) for c in p.profile.crit)
-            jumps.append(js)
-            jump_only.append(len(js) == len(u.pieces))
-            shaped.append(sh)
-            cantor.append(ca)
-            poly.append(po)
-            feats.append(ft)
+                    (shaped if isinstance(p.profile, ShapedRamp) else poly)[i].append(p)
         # Sections whose pieces are all jumps (constant ones included)
         # are evaluated in closed form from jloc/jh instead of refined.
-        self.jump_only = np.array(jump_only, dtype=bool)
-        o, w, v = np.array([_frame(u) for u in funcs], dtype=float).reshape(-1, 3).T[..., None]
-        self.origin = o[:, 0]
+        self.jump_only = np.array([len(j) == len(u.pieces) for j, u in zip(jumps, funcs)], bool)
+        frames = np.array([_frame(u) for u in funcs], dtype=float).reshape(-1, 3).T
+        self.origin, self.width, self.var = frames
+        o, w, v = frames.tolist()
 
-        def rows(groups, get):
-            return [[get(p) for p in v] for v in groups]
+        self.jloc = _table(jumps, lambda p: p.location, np.inf, o=o, w=w)
+        self.jh = _table(jumps, lambda p: p.height, 0.0, w=v)
 
-        self.jloc = _table(rows(jumps, lambda p: p.location), np.inf)
-        self.jh = _table(rows(jumps, lambda p: p.height), 0.0)
-
-        self.sa = _table(rows(shaped, lambda p: p.support[0]), 0.0)
-        self.sb = _table(rows(shaped, lambda p: p.support[1]), 1.0)
-        self.srise = _table(rows(shaped, lambda p: p.profile.rise), 0.0)
-        self.scode = _table(rows(shaped, lambda p: _SHAPE_CODE[p.profile.shape]), 0, np.int8)
+        self.sa = _table(shaped, lambda p: p.support[0], 0.0, o=o, w=w)
+        self.sb = _table(shaped, lambda p: p.support[1], 1.0, o=o, w=w)
+        self.srise = _table(shaped, lambda p: p.profile.rise, 0.0, w=v)
+        self.scode = _table(shaped, lambda p: _SHAPE_CODE[p.profile.shape], 0, np.int8)
         # The shape codes held, so a batch of one shape evaluates only its
         # formula (padded slots have zero rise and read as any shape).
-        self.shapes = sorted({_SHAPE_CODE[p.profile.shape] for v in shaped for p in v})
+        self.shapes = sorted({_SHAPE_CODE[p.profile.shape] for g in shaped for p in g})
 
-        self.ca = _table(rows(cantor, lambda p: p.support[0]), 0.0)
-        self.cb = _table(rows(cantor, lambda p: p.support[1]), 1.0)
-        self.crise = _table(rows(cantor, lambda p: p.rise), 0.0)
+        self.ca = _table(cantor, lambda p: p.support[0], 0.0, o=o, w=w)
+        self.cb = _table(cantor, lambda p: p.support[1], 1.0, o=o, w=w)
+        self.crise = _table(cantor, lambda p: p.rise, 0.0, w=v)
 
-        profs = [p.profile for v in poly for p in v]
+        profs = [p.profile for g in poly for p in g]
         D = max((len(q.coeffs) for q in profs), default=1)
         C = max((len(q.crit) for q in profs), default=0)
         C2 = max((len(q.dcrit) for q in profs), default=0)
-        self.pa = _table(rows(poly, lambda p: p.support[0]), 0.0)
-        self.pb = _table(rows(poly, lambda p: p.support[1]), 1.0)
-        self.pcoef = _table(rows(poly, lambda p: p.profile.coeffs), 0.0, tail=(D,))
-        der = rows(poly, lambda p: [k * c for k, c in enumerate(p.profile.coeffs)][1:])
-        self.pder = _table(der, 0.0, tail=(D,))
-        self.pcrit = _table(rows(poly, lambda p: p.profile.crit), np.nan, tail=(C,))
-        self.pdcrit = _table(rows(poly, lambda p: p.profile.dcrit), np.nan, tail=(C2,))
-        self.feat = _table(feats, np.inf)
-        for t in (self.jloc, self.sa, self.sb, self.ca, self.cb, self.pa, self.pb, self.feat):
-            t -= o
-            t /= w
-        for t in (self.jh, self.srise, self.crise):
-            t /= v
-        for t in (self.pcoef, self.pder):
-            t /= v[..., None]
+        self.pa = _table(poly, lambda p: p.support[0], 0.0, o=o, w=w)
+        self.pb = _table(poly, lambda p: p.support[1], 1.0, o=o, w=w)
+        self.pcoef = _table(poly, lambda p: p.profile.coeffs, 0.0, tail=(D,), w=v)
+        self.pder = _table(
+            poly, lambda p: [k * c for k, c in enumerate(p.profile.coeffs)][1:], 0.0, tail=(D,), w=v
+        )
+        self.pcrit = _table(poly, lambda p: p.profile.crit, np.nan, tail=(C,))
+        self.pdcrit = _table(poly, lambda p: p.profile.dcrit, np.nan, tail=(C2,))
         self.pcval = _polyval_grid(np.moveaxis(self.pcoef, -1, 0)[..., None], self.pcrit)
         self.pdval = np.abs(_polyval_grid(np.moveaxis(self.pder, -1, 0)[..., None], self.pdcrit))
         self.pvar = (self.pder[..., 1:] != 0.0).any(axis=-1)
-        self.Kj, self.Ks, self.Kc, self.Kp, self.Kf = (
-            t.shape[1] for t in (self.jloc, self.sa, self.ca, self.pa, self.feat)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +429,9 @@ def _add_signed(LU, s, low, up):
 def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     """Upper/lower bounds on |u(x+h) - u(x)| over each box, plus two
     flags telling the splitter what x-structure the box's pair span
-    holds: point features (jump locations, support ends, interior
-    extrema) versus smooth slope variation.
+    holds: point features (in the span, a jump, a support end of a piece
+    that moves u, a polynomial extremum, or a Cantor piece) versus smooth
+    slope variation.
 
     Each piece bounds its own |increment| over the box's pairs from
     above by the smaller of its oscillation over the span [x0, x1 + h1]
@@ -494,23 +462,23 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
     win_hi = x1 + h0
     thin_ok = h0 > 0.0
 
+    def in_span(e):  # strictly inside (x0, x1 + h1)
+        return (x0 < e) & (e < span_hi)
+
     LU = np.zeros((2, W))
     xfeat = np.zeros(W, dtype=bool)
     xsmooth = np.zeros(W, dtype=bool)
 
-    if B.Kf:
-        f = _gather(B.feat, sid)
-        xfeat = _fold(np.logical_or, (f > x0) & (f < span_hi), xfeat)
-
-    if B.Kj:
+    if B.jloc.shape[1]:
         jl = _gather(B.jloc, sid)
         jh = _gather(B.jh, sid)
         ja = np.abs(jh)
         poss = (x0 < jl) & (jl <= span_hi)
         always = (core_lo < jl) & (jl <= core_hi)
+        xfeat = _fold(np.logical_or, in_span(jl), xfeat)
         _add_signed(LU, jh, np.where(always, ja, 0.0), np.where(poss, ja, 0.0))
 
-    if B.Ks:
+    if B.sa.shape[1]:
         a = _gather(B.sa, sid)
         b = _gather(B.sb, sid)
         w = b - a
@@ -526,8 +494,9 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 
         # Shaped ramps have varying slope, so boxes overlapping them
         # benefit from x-refinement (localising the derivative window).
-        near = (a < span_hi) & (b > x0)
-        xsmooth = _fold(np.logical_or, (rise != 0.0) & near, xsmooth)
+        live = rise != 0.0
+        xsmooth = _fold(np.logical_or, live & (a < span_hi) & (b > x0), xsmooth)
+        xfeat = _fold(np.logical_or, live & (in_span(a) | in_span(b)), xfeat)
         # The profile at the span ends t0, t1, the core ends tc0 = t(x1)
         # and tc1 = t(x0 + h0), and the window's far end tw1 = t(x1 + h0).
         t0 = np.clip((x0 - a) / w, 0.0, 1.0)
@@ -560,7 +529,7 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         dmul = np.where(win_in, ar * (h0 / w) * np.minimum(d0, dw1), 0.0)
         _add_signed(LU, rise, np.maximum(inc, np.maximum(dwin, dmul)), up_i)
 
-    if B.Kc:
+    if B.ca.shape[1]:
         a = _gather(B.ca, sid)
         b = _gather(B.cb, sid)
         w = b - a
@@ -579,12 +548,12 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
         inc = np.where(core_ok, r * np.maximum(cv[3] - cv[2], 0.0), 0.0)
         _add_signed(LU, crise, inc, np.minimum(osc, _holder_cap(r, tau)))
 
-    if B.Kp:
+    if B.pa.shape[1]:
         a = _gather(B.pa, sid)
         b = _gather(B.pb, sid)
         w = b - a
-        near = (a < span_hi) & (b > x0)
-        xsmooth = _fold(np.logical_or, _gather(B.pvar, sid) & near, xsmooth)
+        pvar = _gather(B.pvar, sid)
+        xsmooth = _fold(np.logical_or, pvar & (a < span_hi) & (b > x0), xsmooth)
         # One Horner pass evaluates P at the box's points, in the piece's
         # coordinate t = (x - a) / w clipped to [0, 1]: the span ends t0
         # and t1, the window's far end tw1 (at x1 + h0) and the core ends
@@ -621,6 +590,9 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
             smax = np.maximum(smax, np.where(above & (dcrit[:, k] < t1), dval[:, k], -np.inf))
             dmin = np.minimum(dmin, np.where(m, dval[:, k], np.inf))
             bent = bent | m
+        # A piece with constant P' moves u where that slope is not 0.
+        live = pvar | (d0 > 0.0)
+        xfeat = _fold(np.logical_or, turn | (live & (in_span(a) | in_span(b))), xfeat)
         # With an extremum inside the span the piece is not monotone
         # there, so its lower bounds are discarded.
         direction = np.where(turn, 0.0, v1 - v0)
@@ -649,6 +621,19 @@ def _wave_bounds(B: _Batch, sid, x0, x1, h0, h1):
 # ---------------------------------------------------------------------------
 
 
+def _verdict(up, low, h0, h1, s0, s1, lam_a, lam_b):
+    """Masks of the boxes with pair bounds [low, up] and separations
+    [h0, h1], s = h^gamma, that are outside at lam_a, inside at lam_b,
+    and whose power h1 s1 is normal.  A power below the normal range has
+    lost its relative accuracy, so only an exact h0 = 0 or a normal power
+    decides a box."""
+    p0, p1 = h0 * s0, h1 * s1
+    normal = p1 >= _TINY
+    outside = (up <= lam_a * p0) & ((h0 == 0.0) | (p0 >= _TINY))
+    inside = ~outside & (low > lam_b * p1) & normal
+    return outside, inside, normal
+
+
 def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     """Run the refinement for the sections ``rows`` of a batch at once.
 
@@ -657,14 +642,16 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     pair exceeds at a, and inside when every pair exceeds at b, and the
     truncation radius is taken at a.
 
+    Boxes live in (x, s = h^gamma), where the kernel is dx ds / gamma, so
+    a box's mass is its area over gamma and its h-split is the midpoint in
+    s; each wave derives h = s^(1/gamma) once.
+
     ``owner`` maps each section to the function it is a part of (by
     default every section is its own function), and ``tol`` gives each
     function's width target in the units of ``weight``, a per-section
-    factor (the engine passes 2 v b, v the frame's variation, so targets
-    are in functional units).  A function freezes, all its sections at
-    once, in the first wave where the sum over its sections of weight
-    times unresolved mass is at most its tol; its sections then keep that
-    mass as slack.
+    factor.  A function freezes, all its sections at once, in the first
+    wave where the sum over its sections of weight times unresolved mass
+    is at most its tol; its sections then keep that mass as slack.
 
     Returns per section (lo, slack), in kernel-measure units of its unit
     frame (see :class:`_Batch`): lo bounds nu(E_b) from below and lo +
@@ -688,12 +675,12 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
 
     # Root boxes: with variation 1, beyond separation H = a^(-1/(1+g))
     # nothing exceeds, and pairs moving u must touch the support [0, 1].
-    # H is padded a hair to absorb rounding in the power and the tables.
+    # H is padded a hair to absorb rounding in the powers and the tables.
     H = (1.0 / lam_a[rows]) ** (1.0 / (1.0 + g)) * (1.0 + 1e-12)
     x0 = -H
     x1 = np.ones(rows.size)
-    h0 = np.zeros(rows.size)
-    h1 = H.copy()
+    s0 = np.zeros(rows.size)
+    s1 = H**g
     sid = rows
 
     # Roots sit at depth 0 and each wave splits into the next, so every
@@ -701,23 +688,16 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
     depth = 0
     while x0.size:
         W = x0.size
-        up = np.empty(W)
-        low = np.empty(W)
-        xfeat = np.empty(W, dtype=bool)
-        xsmooth = np.empty(W, dtype=bool)
+        h0, h1 = s0 ** (1.0 / g), s1 ** (1.0 / g)
+        up, low = np.empty((2, W))
+        xfeat, xsmooth = np.empty((2, W), dtype=bool)
         for i in range(0, W, _WAVE_CHUNK):
             sl = slice(i, min(i + _WAVE_CHUNK, W))
             up[sl], low[sl], xfeat[sl], xsmooth[sl] = _wave_bounds(
                 B, sid[sl], x0[sl], x1[sl], h0[sl], h1[sl]
             )
-        p0, p1 = h0 ** (1.0 + g), h1 ** (1.0 + g)
-        thr_lo = lam_a[sid] * p0
-        thr_hi = lam_b[sid] * p1
-        # A power below the normal range has lost its relative accuracy, so
-        # only an exact h0 = 0 or a normal power decides a box.
-        outside = (up <= thr_lo) & ((h0 == 0.0) | (p0 >= _TINY))
-        inside = ~outside & (low > thr_hi) & (p1 >= _TINY)
-        mass = (x1 - x0) * (h1**g - h0**g) / g
+        outside, inside, normal = _verdict(up, low, h0, h1, s0, s1, lam_a[sid], lam_b[sid])
+        mass = (x1 - x0) * (s1 - s0) / g
         if inside.any():
             lo_acc += np.bincount(sid[inside], weights=mass[inside], minlength=S)
         mixed = ~outside & ~inside
@@ -743,26 +723,23 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
             stuck += np.bincount(sid[dropped], weights=mass[dropped], minlength=S)
             idx = np.sort(idx[order[:keep_n]])
 
-        bx0, bx1 = x0[idx], x1[idx]
-        bh0, bh1 = h0[idx], h1[idx]
-        xm = 0.5 * (bx0 + bx1)
-        hk = (0.5 * (bh0**g + bh1**g)) ** (1.0 / g)
-        hm = np.where(bh0 == 0.0, bh1 * 2.0 ** (-1.0 / g), hk)
-        ha = 0.5 * (bh0 + bh1)
-        hm = np.where((hm > bh0) & (hm < bh1), hm, ha)
-        # Neither a box whose h1^(1+g) is below the normal range nor any
-        # of its children can read inside, so it is retired unsplit.
-        ok = p1[idx] >= _TINY
-        ok_x = (xm > bx0) & (xm < bx1) & ok
-        ok_h = (hm > bh0) & (hm < bh1) & ok
+        bx0, bx1, bs0, bs1 = x0[idx], x1[idx], s0[idx], s1[idx]
         bxw = bx1 - bx0
-        bhw = bh1 - bh0
-        # Point features (jumps, support ends, interior extrema) pay off
-        # at any h, so split toward them while x is the wider side.
+        bhw = h1[idx] - h0[idx]
+        # Point features (jumps, live support ends, interior extrema) pay
+        # off at any h, so split toward them while x is the wider side.
         # Slope variation only matters relative to the support scale, 1,
         # and tightening the h band is relative to its own height, so
         # those boxes compare the two improvement ratios instead.
-        want_x = (xfeat[idx] & (bxw >= bhw)) | (xsmooth[idx] & (bxw * bh1 >= bhw))
+        want_x = (xfeat[idx] & (bxw >= bhw)) | (xsmooth[idx] & (bxw * h1[idx] >= bhw))
+        del h0, h1, bhw  # freed before the children set the peak memory
+        xm = 0.5 * (bx0 + bx1)
+        sm = 0.5 * (bs0 + bs1)
+        # Neither a box whose h1^(1+g) is below the normal range nor any
+        # of its children can read inside, so it is retired unsplit.
+        ok = normal[idx]
+        ok_x = (xm > bx0) & (xm < bx1) & ok
+        ok_h = (sm > bs0) & (sm < bs1) & ok
         do_x = (want_x & ok_x) | (~ok_h & ok_x)
         do_h = ~do_x & ok_h
         dead = ~do_x & ~do_h
@@ -774,16 +751,15 @@ def _split_wave(B, gamma, lam, tol, max_depth, rows, weight, owner=None):
         hi_ = np.nonzero(do_h)[0]
         nx0 = np.concatenate([bx0[xi], xm[xi], bx0[hi_], bx0[hi_]])
         nx1 = np.concatenate([xm[xi], bx1[xi], bx1[hi_], bx1[hi_]])
-        nh0 = np.concatenate([bh0[xi], bh0[xi], bh0[hi_], hm[hi_]])
-        nh1 = np.concatenate([bh1[xi], bh1[xi], hm[hi_], bh1[hi_]])
+        ns0 = np.concatenate([bs0[xi], bs0[xi], bs0[hi_], sm[hi_]])
+        ns1 = np.concatenate([bs1[xi], bs1[xi], sm[hi_], bs1[hi_]])
         par = np.concatenate([idx[xi], idx[xi], idx[hi_], idx[hi_]])
-        x0, x1, h0, h1, sid = nx0, nx1, nh0, nh1, sid[par]
+        x0, x1, s0, s1, sid = nx0, nx1, ns0, ns1, sid[par]
         depth += 1
         # Free this wave's arrays before the next, larger wave allocates
         # its own; the deepest waves set the run's peak memory.
-        del up, low, xfeat, xsmooth, p0, p1, thr_lo, thr_hi, outside, inside, mass
-        del mixed, keep, idx, bx0, bx1, bh0, bh1, xm, hk
-        del hm, ha, ok, ok_x, ok_h, bxw, bhw, want_x, do_x, do_h, dead, xi, hi_, par
+        del up, low, xfeat, xsmooth, outside, inside, normal, mass, mixed, keep, idx, bx0, bx1
+        del bs0, bs1, bxw, xm, sm, ok, ok_x, ok_h, want_x, do_x, do_h, dead, xi, hi_, par
 
     slack = np.where(frozen[owner], frozen_extra, stuck)
     tol_met = frozen | (np.bincount(owner, weights=weight * stuck, minlength=NF) <= tol)
@@ -1128,7 +1104,7 @@ def f_enclosures_batch(
     # get their enclosure C before the refinement.
     lam_r = np.array(lam_f, dtype=float)[owner]
     lam_ab = np.stack([lam_r, lam_r])
-    var = np.ones(batch.S)
+    var = batch.var
     closed = batch.jump_only.copy()
     C = np.zeros((2, batch.S))
     exact = np.nonzero(closed)[0]
@@ -1137,31 +1113,31 @@ def f_enclosures_batch(
     for f in owner[exact[bad]]:
         reasons[f] = f"jump cutoffs or masses are not finite at lam {lam_f[f]!r}"
     for k in np.nonzero(~closed)[0]:
-        _, w, var[k] = _frame(rows[k])
         cantor = len(rows[k].pieces) == 1 and isinstance(rows[k].pieces[0], CantorPiece)
         try:
-            lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, w, var[k], cantor)
+            lam_ab[:, k] = _reduced_lam(float(lam_r[k]), g, batch.width[k], var[k], cantor)
         except ValueError as exc:
             reasons.setdefault(owner[k], f"row {k - first[owner[k]]}: {exc}")
             continue
         if lam_ab[0, k] == 0.0:
             closed[k] = True
             C[:, k] = _coarse_cantor_F(var[k], lam_ab[1, k], g)
+    tv = np.array([u.total_variation for u in funcs])
     if q.tol is None:
-        tv = np.array([u.total_variation for u in funcs])
         tol_f = DEFAULT_TOL_SCALE * np.maximum(1.0, 2.0 * tv / (1.0 + g))
     else:
         tol_f = np.full(len(funcs), q.tol)
 
     # The refinement freezes a function once its rows' slack, in
-    # functional units, fits its tol less the widths of its closed-form
-    # rows.
-    tol_w = tol_f - np.bincount(owner, weights=C[1] - C[0], minlength=len(funcs))
+    # functional units (2 b v per unit of frame mass), fits its tol less
+    # the widths of its closed-form rows.  Both sides are divided by 2T,
+    # T its total variation (1 if 0), so no weight overflows.
+    tv = np.where(tv > 0.0, tv, 1.0)
+    tol_w = 0.5 * (tol_f - np.bincount(owner, weights=C[1] - C[0], minlength=len(funcs))) / tv
     failed = np.isin(np.arange(len(funcs)), list(reasons))
     refine = np.nonzero(~closed & ~failed[owner])[0]
-    lo, slack, met = _split_wave(
-        batch, g, lam_ab, tol_w, q.max_depth, refine, 2.0 * lam_ab[1] * var, owner
-    )
+    weight = lam_ab[1] * (var / tv[owner])
+    lo, slack, met = _split_wave(batch, g, lam_ab, tol_w, q.max_depth, refine, weight, owner)
     # Each end took up to three roundings, u each: lo + slack, the product
     # with 2a or 2b, and the product with v, taken last so that an end
     # overflows only where F does.
@@ -1213,18 +1189,24 @@ def _outward(q: Fraction, toward: float) -> float:
     return math.nextafter(f, toward) if (f > q if toward < 0 else f < q) else f
 
 
-def pair_increment_bounds(u: BVFunction1D, box: PlaneBox) -> tuple[float, float]:
-    """Certified (lower, upper) bounds of |u(x+h) - u(x)| over a box, taken
-    in u's unit frame with the box and the bounds mapped outward."""
-    o, w, v = (Fraction(c) for c in _frame(u))
+def _frame_bounds(u: BVFunction1D, box: PlaneBox):
+    """u's one-row batch, and the frame's pair bounds (up, low) and h ends
+    over the box mapped outward into u's unit frame, as arrays of one."""
+    B = _Batch([u])
+    o, w = Fraction(B.origin[0]), Fraction(B.width[0])
     (x0, x1), (h0, h1) = box.x_interval, box.h_interval
     ends = [(Fraction(x0) - o, -math.inf), (Fraction(x1) - o, math.inf)]
     ends += [(Fraction(h0), -math.inf), (Fraction(h1), math.inf)]
-    up, low, _, _ = _wave_bounds(
-        _Batch([u]),
-        np.zeros(1, dtype=np.intp),
-        *(np.array([_outward(d / w, t)]) for d, t in ends),
-    )
+    x0, x1, h0, h1 = (np.array([_outward(d / w, t)]) for d, t in ends)
+    up, low, _, _ = _wave_bounds(B, np.zeros(1, dtype=np.intp), x0, x1, h0, h1)
+    return B, up, low, h0, h1
+
+
+def pair_increment_bounds(u: BVFunction1D, box: PlaneBox) -> tuple[float, float]:
+    """Certified (lower, upper) bounds of |u(x+h) - u(x)| over a box, taken
+    in u's unit frame with the box and the bounds mapped outward."""
+    B, up, low, _, _ = _frame_bounds(u, box)
+    v = Fraction(B.var[0])
     return _outward(Fraction(low[0]) * v, -math.inf), _outward(Fraction(up[0]) * v, math.inf)
 
 
@@ -1233,11 +1215,13 @@ def classify_box(u: BVFunction1D, box: PlaneBox, query: ExceedanceQuery) -> BoxV
 
     OUTSIDE means no pair in the box exceeds, INSIDE means every pair
     does; MIXED is the undecided remainder that refinement would split.
+    It is decided as the refinement decides (:func:`_verdict`), in u's
+    unit frame at the bracket of :func:`_reduced_lam`, which may raise.
     """
-    low, up = pair_increment_bounds(u, box)
-    (h0, h1) = box.h_interval
-    if up <= query.lam * h0 ** (1.0 + query.gamma):
-        return BoxVerdict.OUTSIDE
-    if low > query.lam * h1 ** (1.0 + query.gamma):
-        return BoxVerdict.INSIDE
+    B, up, low, h0, h1 = _frame_bounds(u, box)
+    g = query.gamma
+    a, b = _reduced_lam(query.lam, g, float(B.width[0]), float(B.var[0]), False)
+    outside, inside, _ = _verdict(up, low, h0, h1, h0**g, h1**g, a, b)
+    if outside[0] or inside[0]:
+        return BoxVerdict.OUTSIDE if outside[0] else BoxVerdict.INSIDE
     return BoxVerdict.MIXED

@@ -176,24 +176,26 @@ def test_batch_tables_pad_inertly():
     ]
     B = _Batch(funcs)
     # The jump-only rows are shifted to their origin; the middle row is
-    # also mapped to its unit frame, x -> x / 4 and u -> u / v.
+    # also mapped to its unit frame, x -> x / 4 and u -> u / v.  Padded
+    # support slots sit at [0, 1] in every row's frame.
     v = funcs[1].total_variation
-    assert (B.S, B.Kj, B.Ks, B.Kc, B.Kp) == (3, 1, 1, 0, 1)
+    assert [t.shape[:2] for t in (B.jloc, B.sa, B.ca, B.pa)] == [(3, 1), (3, 1), (3, 0), (3, 1)]
     assert B.origin.tolist() == [1.0, 0.0, 0.0]
+    assert B.width.tolist() == [1.0, 4.0, 1.0] and B.var.tolist() == [1.0, v, 1.0]
     assert B.jump_only.tolist() == [True, False, True]
     assert B.jloc.tolist() == [[0.0], [1.0], [math.inf]]
     assert B.jh.tolist() == [[2.0], [-1.0 / v], [0.0]]
     assert B.scode.dtype == np.int8 and B.shapes == [_SHAPE_CODE["sine"]]
-    assert B.sb.tolist() == [[0.0], [0.25], [1.0]]
+    assert B.sa.tolist() == [[0.0], [0.0], [0.0]]
+    assert B.sb.tolist() == [[1.0], [0.25], [1.0]]
     assert B.srise.tolist() == [[0.0], [1.0 / v], [0.0]]
     assert B.ca.shape == B.cb.shape == B.crise.shape == (3, 0)
-    assert (B.pa[1, 0], B.pb[1, 0]) == (0.5, 0.75)
+    assert B.pa.tolist() == [[0.0], [0.5], [0.0]] and B.pb.tolist() == [[1.0], [0.75], [1.0]]
     assert B.pcoef.tolist()[1] == [[c / v for c in (0.0, 1.0, -3.0, 2.0)]]
     assert B.pder.tolist()[1] == [[c / v for c in (1.0, -6.0, 6.0, 0.0)]]
     assert not B.pcoef[[0, 2]].any() and not B.pder[[0, 2]].any()
     assert B.pvar.tolist() == [[False], [True], [False]]
     assert np.isnan(B.pcrit[[0, 2]]).all() and np.isnan(B.pdcrit[[0, 2]]).all()
-    assert np.isinf(B.feat[0, 1:]).all() and np.isinf(B.feat[2]).all()
     # The tabled values at the critical and inflection points are P and
     # |P'| there, and NaN in padded slots.
     prof = funcs[1].pieces[1].profile
@@ -324,6 +326,50 @@ def test_mixed_rows_bound_each_box_as_its_row_alone():
         alone = _wave_bounds(_Batch([u]), zero, x0[m], x1[m], h0[m], h1[m])
         for g, r in zip(got, alone):
             assert g[m].tobytes() == r.tobytes(), u
+
+
+def test_xfeat_marks_the_point_features_in_the_span():
+    # A box's point-feature flag holds where its pair span (x0, x1 + h1)
+    # strictly holds a jump, a support end of a piece that moves u or a
+    # polynomial extremum, or meets a Cantor piece's support.  Each row is
+    # scanned directly in its unit frame, and padded slots, which sit at
+    # [0, 1] there, never count: the jump-only rows carry them.
+    rows = [
+        BVFunction1D((JumpPiece(0.3, 1.0), JumpPiece(0.7, -0.5))),
+        BVFunction1D((affine_ramp(0.0, 0.4, 2.0), JumpPiece(0.6, 1.0))),
+        BVFunction1D((smoothstep_piece(0.2, 0.6, 1.0), sine_ramp(0.6, 0.8, -0.3))),
+        BVFunction1D((polynomial_piece(0.0, 1.0, QUINTIC), affine_ramp(1.2, 1.5, -1.0))),
+        BVFunction1D((cantor_piece(0.1, 0.5, 1.0), polynomial_piece(0.5, 0.9, (0.0, 1.0, -1.0)))),
+        BVFunction1D((JumpPiece(1e6, 1.0),)),
+    ]
+    rng = np.random.default_rng(8)
+    n = 4000
+    sid = rng.integers(0, len(rows), n)
+    x0, x1, h0, h1 = _random_boxes(rng, n, -0.5, 1.5)
+    _, _, xfeat, _ = _wave_bounds(_Batch(rows), sid, x0, x1, h0, h1)
+    span_hi = x1 + h1
+    checked = 0
+    for k, u in enumerate(rows):
+        o, w, _ = _frame(u)
+        points, cantor = [], []
+        for p in u.pieces:
+            if isinstance(p, JumpPiece):
+                points.append((p.location - o) / w)
+                continue
+            a, b = ((e - o) / w for e in p.support)
+            if hasattr(p, "profile"):
+                points += [a, b, *(a + c * (b - a) for c in getattr(p.profile, "crit", ()))]
+            else:
+                cantor.append((a, b))
+        for i in np.nonzero(sid == k)[0]:
+            lo, hi = x0[i], span_hi[i]
+            # Features within rounding of a span end may read either way.
+            if any(min(abs(f - lo), abs(f - hi)) < 1e-9 for f in points):
+                continue
+            want = any(lo < f < hi for f in points) or any(a < hi and b > lo for a, b in cantor)
+            assert xfeat[i] == want, (k, lo, hi)
+            checked += 1
+    assert checked > 0.99 * n and 0.1 * n < xfeat.sum() < 0.9 * n
 
 
 @pytest.mark.parametrize("family", ["jump", "polynomial"])
@@ -681,6 +727,36 @@ def test_scaling_law_holds_across_the_float_range(c, s):
         assert enc.overlaps(ref.scaled(abs(c))), (u, c, s, enc, ref)
 
 
+def test_freeze_weights_stay_finite_near_the_float_maximum():
+    # F is about 3.09e306 here.  The weight 2 b v of its row overflowed to
+    # inf, so its unresolved mass read NaN or inf and the function never
+    # froze: the width came out at 9.6e303, within tol, with tol_met false.
+    u = BVFunction1D((affine_ramp(0.0, 1.0, 1.0), JumpPiece(0.5, 1.0))).scaled(1e306)
+    (enc,) = f_enclosures_batch([u], 1.0, 1e308, 1e304, 24)
+    assert enc.tol_met and enc.width <= 1e304
+
+
+def test_far_row_beside_a_shaped_ramp_is_as_alone():
+    # The far row's padded support slots, framed after padding, sat at one
+    # float, about -1e15, so their width was 0 and their bounds NaN.  Its
+    # enclosure read [0, 21.46], and the NaN boxes filled the wave cap and
+    # widened the smoothstep row from [1.9936, 2.0288] to [1.9831, 2.0388].
+    funcs = [
+        BVFunction1D((smoothstep_piece(0.0, 1.0, 1.0),)),
+        BVFunction1D((affine_ramp(1e20, 1e20 + 1e5, 1e-5),)),
+    ]
+    lams = [100.0, 1e-8]
+    both = f_enclosures_batch(funcs, 1.0, lams, 0.01, 24)
+    for u, lam, enc in zip(funcs, lams, both):
+        (alone,) = f_enclosures_batch([u], 1.0, lam, 0.01, 24)
+        assert (enc.lo.hex(), enc.hi.hex(), enc.tol_met) == (
+            alone.lo.hex(),
+            alone.hi.hex(),
+            alone.tol_met,
+        )
+    assert both[1].tol_met and both[1].width <= 0.01
+
+
 @pytest.mark.parametrize("lam", [1e290, 1e300])
 def test_underflowing_thresholds_decide_no_box(lam):
     # Deep in the refinement h1^(1+g) underflows; read as a threshold of 0
@@ -862,6 +938,14 @@ def test_classify_box_mixed():
     # separation do.
     box = PlaneBox((-0.5, -0.01), (0.1, 0.6))
     assert classify_box(u, box, q) is BoxVerdict.MIXED
+
+
+def test_classify_box_below_the_normal_range_is_not_inside():
+    # Every pair here moves u by at most 2e-171, while lam h^2 is at least
+    # 1e-42; lam h^(1+gamma) underflowed to 0 and the box read inside.
+    u = BVFunction1D((affine_ramp(0.0, 1.0, 1.0),))
+    box = PlaneBox((0.2, 0.3), (1e-171, 2e-171))
+    assert classify_box(u, box, ExceedanceQuery(1.0, 1e300)) is not BoxVerdict.INSIDE
 
 
 def test_pair_increment_bounds_bracket_samples():
